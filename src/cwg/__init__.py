@@ -7,6 +7,7 @@ from .core import (
     CwgFormatError,
     GREEN,
     RED,
+    SelfCheckError,
     Threshold,
     aes_threshold,
     canonical_form,

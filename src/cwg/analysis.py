@@ -14,15 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .core import ColoredGraph, even_threshold, min_degree, pair_list
+from .core import ColoredGraph, SelfCheckError, even_threshold, min_degree, pair_list
 from .constructions import gen_family
-from .embedding import (
-    Embedding,
-    find_clique,
-    find_embedding,
-    find_embedding_using_pair,
-    is_free,
-)
+from .embedding import Embedding, find_clique, find_embedding, is_free
 from .homomorphism import HomCertificate, verify_certificate
 
 
@@ -70,7 +64,7 @@ def extremal_completion(
     seeded random policy) attempting single +1 increments; a sweep that
     changes nothing ends the process.  The fixpoint is extremal: raising any
     single pair creates a family member, hence so does any pointwise-larger
-    graph.
+    graph.  Each raise is checked with the full compiled ``is_free``.
     """
     free, witness = is_free(g, family)
     if not free:
@@ -90,21 +84,10 @@ def extremal_completion(
             if w == 2:
                 continue
             candidate = g.with_weight(x, y, w + 1)
-            if find_embedding_using_pair_any(candidate, family, (x, y)) is None:
+            if is_free(candidate, family)[0]:
                 g = candidate
                 changed = True
     return g
-
-
-def find_embedding_using_pair_any(
-    host: ColoredGraph, family: list[ColoredGraph], pair: tuple[int, int]
-):
-    """First (member index, embedding) that uses the given host pair, if any."""
-    for idx in sorted(range(len(family)), key=lambda i: (family[i].n, i)):
-        emb = find_embedding_using_pair(family[idx], host, pair)
-        if emb is not None:
-            return idx, emb
-    return None
 
 
 def find_wicked(g: ColoredGraph, blue_only: bool = False) -> list[tuple[int, int, int]]:
@@ -314,7 +297,7 @@ def decompose(
         kind="general", classes=tuple(cert_classes), target=matching_target
     )
     if not verify_certificate(g, matching_cert):
-        raise AssertionError("decomposition produced an invalid matching certificate")
+        raise SelfCheckError("decomposition produced an invalid matching certificate")
 
     cert_classes.sort(key=lambda c: min(c) if c else g.n)
     designated = (
@@ -327,7 +310,7 @@ def decompose(
         kind="rk_minus", classes=tuple(cert_classes), designated=designated
     )
     if not verify_certificate(g, cert):
-        raise AssertionError("decomposition produced an invalid certificate")
+        raise SelfCheckError("decomposition produced an invalid certificate")
     return cert
 
 

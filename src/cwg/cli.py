@@ -6,7 +6,7 @@ envelopes carry schema_version 1 and validate against report_schema.json
 shipped with the package.
 
 Exit codes: 0 success / verified, 2 counterexample or violation found,
-1 usage or I/O error.
+1 usage or I/O error, 3 unknown because the search budget ran out.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .constructions import (
 from .embedding import is_free
 from .homomorphism import (
     HomCertificate,
+    SearchBudgetExceeded,
     search_hom_general,
     search_hom_rk,
     search_hom_rk_minus,
@@ -98,6 +99,10 @@ def _emit(payload: dict, command: str, as_json: bool, text: Optional[str] = None
         print(text)
 
 
+def _graph_json(g: ColoredGraph) -> dict:
+    return {"n": g.n, "weights": g.upper_string()}
+
+
 def _certificate_json(cert: Optional[HomCertificate]) -> Optional[dict]:
     if cert is None:
         return None
@@ -105,7 +110,7 @@ def _certificate_json(cert: Optional[HomCertificate]) -> Optional[dict]:
     if cert.designated is not None:
         out["designated"] = list(cert.designated)
     if cert.target is not None:
-        out["target"] = {"n": cert.target.n, "weights": cert.target.upper_string()}
+        out["target"] = _graph_json(cert.target)
     return out
 
 
@@ -151,7 +156,7 @@ def _cmd_gen(args) -> int:
     parts = result.parts_json() if isinstance(result, PartitionedConstruction) else None
     if args.output:
         write_cwg(args.output, graph)
-    else:
+    elif not args.json:
         sys.stdout.write(to_cwg(graph))
     if args.parts and parts is not None:
         with open(args.parts, "w", encoding="ascii") as fh:
@@ -161,6 +166,7 @@ def _cmd_gen(args) -> int:
         {
             "construction": name,
             "n": graph.n,
+            "graph": _graph_json(graph),
             "output": args.output,
             "parts": parts,
         },
@@ -186,13 +192,25 @@ def _cmd_hom(args) -> int:
     g = read_cwg(args.graph)
     target = args.target
     if target.startswith("rk:"):
-        result = search_hom_rk(g, int(target[3:]), budget=args.budget)
+        search, goal = search_hom_rk, int(target[3:])
     elif target.startswith("rkminus:"):
-        result = search_hom_rk_minus(g, int(target[8:]), budget=args.budget)
+        search, goal = search_hom_rk_minus, int(target[8:])
     elif target.startswith("file:"):
-        result = search_hom_general(g, read_cwg(target[5:]), budget=args.budget)
+        search, goal = search_hom_general, read_cwg(target[5:])
     else:
         raise UsageError("target %r: expected rk:<r>, rkminus:<r> or file:<path>" % target)
+    try:
+        result = search(g, goal, budget=args.budget)
+    except SearchBudgetExceeded as exc:
+        payload = {
+            "target": target,
+            "exists": None,
+            "reason": "budget",
+            "nodes_explored": exc.nodes,
+            "certificate": None,
+        }
+        _emit(payload, "hom", args.json, text="unknown: %s" % exc)
+        return 3
     payload = {
         "target": target,
         "exists": result.exists,
@@ -259,11 +277,12 @@ def _cmd_complete(args) -> int:
     completed = extremal_completion(g, family, policy=args.policy, seed=args.seed)
     if args.output:
         write_cwg(args.output, completed)
-    else:
+    elif not args.json:
         sys.stdout.write(to_cwg(completed))
     _emit(
         {
             "family": label,
+            "graph": _graph_json(completed),
             "policy": args.policy,
             "seed": args.seed,
             "changed_pairs": sum(

@@ -452,6 +452,18 @@ def all_graphs(n: int) -> Iterator[ColoredGraph]:
         yield ColoredGraph.from_digits(n, digits)
 
 
+# -- errors -------------------------------------------------------------------
+
+
+class SelfCheckError(AssertionError):
+    """A search result failed its independent re-check.
+
+    Raised by explicit code rather than an ``assert``, so the checks also run
+    under ``python -O``.  It signals a defect in a search engine, never bad
+    input.
+    """
+
+
 # -- .cwg file format ---------------------------------------------------------
 
 
@@ -482,6 +494,11 @@ def parse_cwg(text: str, first_line: int = 1) -> ColoredGraph:
         raise CwgFormatError("vertex count %r is not an integer" % header[1], first_line)
     if n < 0:
         raise CwgFormatError("vertex count must be nonnegative", first_line)
+    if n > ColoredGraph.MAX_ORDER:
+        raise CwgFormatError(
+            "vertex count %d exceeds the maximum order %d" % (n, ColoredGraph.MAX_ORDER),
+            first_line,
+        )
     body = lines[1] if len(lines) > 1 else ""
     m = num_pairs(n)
     if len(body) != m:

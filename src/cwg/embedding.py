@@ -3,14 +3,22 @@
 A pattern embeds into a host when an injective vertex map makes every host
 weight dominate the corresponding pattern weight.  Only pattern pairs of
 weight >= 1 constrain the search; green pattern pairs are free.
+
+Two engines answer the containment question.  ``find_embedding`` is the
+generic backtracker and the reference implementation.  ``FamilyChecker``
+compiles a family once: members that are a red clique fully joined to a
+blue clique (every member of the standard families) become bitmask clique
+searches, and only the remaining members go to the backtracker.
+``is_free`` runs on the compiled engine.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ColoredGraph, pair_list
+from .core import ColoredGraph, SelfCheckError, pair_list
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,13 @@ def verify_embedding(pattern: ColoredGraph, host: ColoredGraph, emb: Embedding) 
         if host.weight(emb.map[x], emb.map[y]) < pattern.weight(x, y):
             return False
     return True
+
+
+def _checked(pattern: ColoredGraph, host: ColoredGraph, emb: Embedding) -> Embedding:
+    """Return a search's embedding after re-checking it with verify_embedding."""
+    if not verify_embedding(pattern, host, emb):
+        raise SelfCheckError("embedding %r fails verify_embedding" % (emb.map,))
+    return emb
 
 
 def _search_order(pattern: ColoredGraph) -> list[int]:
@@ -111,9 +126,7 @@ def find_embedding(pattern: ColoredGraph, host: ColoredGraph) -> Optional[Embedd
     )
     if image is None:
         return None
-    emb = Embedding(tuple(image[u] for u in range(pattern.n)))
-    assert verify_embedding(pattern, host, emb)
-    return emb
+    return _checked(pattern, host, Embedding(tuple(image[u] for u in range(pattern.n))))
 
 
 def find_embedding_using_pair(
@@ -153,9 +166,7 @@ def find_embedding_using_pair(
                 host_ge1_count, host_red_count, pat_ge1_count, pat_red_count,
             )
             if res is not None:
-                emb = Embedding(tuple(res[u] for u in range(pattern.n)))
-                assert verify_embedding(pattern, host, emb)
-                return emb
+                return _checked(pattern, host, Embedding(tuple(res[u] for u in range(pattern.n))))
     return None
 
 
@@ -164,14 +175,12 @@ def is_free(
 ) -> tuple[bool, Optional[tuple[int, Embedding]]]:
     """(True, None) if no family member embeds, else (False, (index, witness)).
 
-    Members are tried smallest order first; the returned index refers to the
-    family list as given.
+    Members are tried smallest order first, ties by index; the returned
+    index refers to the family list as given.  Runs on the compiled engine
+    (``FamilyChecker``).
     """
-    for idx in sorted(range(len(family)), key=lambda i: (family[i].n, i)):
-        emb = find_embedding(family[idx], host)
-        if emb is not None:
-            return False, (idx, emb)
-    return True, None
+    witness = _compiled(tuple(family)).witness(host)
+    return witness is None, witness
 
 
 # -- clique search on bitmask graphs ----------------------------------------
@@ -237,3 +246,117 @@ def common_red_neighborhood(host: ColoredGraph, clique) -> tuple[int, ...]:
     for u in cl:
         mask &= ~(1 << u)
     return tuple(v for v in range(host.n) if mask >> v & 1)
+
+
+# -- compiled freeness engine -------------------------------------------------
+
+
+def _two_level_shape(member: ColoredGraph) -> Optional[tuple[int, int]]:
+    """(order, red clique size) when the member is a red clique fully joined
+    to a blue remainder with no green pair; None otherwise."""
+    n = member.n
+    red_vs = {v for v in range(n) if member.red_mask(v)}
+    for x, y in pair_list(n):
+        w = member.weight(x, y)
+        if w == 0:
+            return None
+        if (w == 2) != (x in red_vs and y in red_vs):
+            return None
+    return n, len(red_vs)
+
+
+@functools.lru_cache(maxsize=32)
+def _compiled(family: tuple[ColoredGraph, ...]) -> "FamilyChecker":
+    """The checker of a family, compiled once; graphs are immutable."""
+    return FamilyChecker(family)
+
+
+class FamilyChecker:
+    """Freeness tester compiled from a family.
+
+    Members with the red-clique-over-blue shape are tested with bitmask
+    clique searches (``_two_level_cliques``); anything else goes to the
+    generic ``find_embedding``.  Members are tried in one order, smallest
+    order first and ties by family index, so the first hit is the witness
+    ``is_free`` promises.
+    """
+
+    def __init__(self, family: list[ColoredGraph]):
+        self.family = list(family)
+        self.shapes: list[tuple[int, int]] = []
+        self.generic: list[ColoredGraph] = []
+        # (family index, member, shape or None, red vertices, blue vertices)
+        self._plan = []
+        for idx in sorted(range(len(self.family)), key=lambda i: (self.family[i].n, i)):
+            member = self.family[idx]
+            shape = _two_level_shape(member)
+            if shape is None:
+                self.generic.append(member)
+                self._plan.append((idx, member, None, (), ()))
+            else:
+                self.shapes.append(shape)
+                reds = tuple(v for v in range(member.n) if member.red_mask(v))
+                blues = tuple(v for v in range(member.n) if not member.red_mask(v))
+                self._plan.append((idx, member, shape, reds, blues))
+
+    def witness(self, host: ColoredGraph) -> Optional[tuple[int, Embedding]]:
+        """(family index, embedding) of the first member that embeds, or None."""
+        n = host.n
+        ge1 = [host.ge1_mask(v) for v in range(n)]
+        red = [host.red_mask(v) for v in range(n)]
+        for idx, member, shape, reds, blues in self._plan:
+            if shape is None:
+                emb = find_embedding(member, host)
+                if emb is not None:
+                    return idx, emb
+                continue
+            o, i = shape
+            if o > n:
+                continue
+            found = _two_level_cliques(ge1, red, n, o, i)
+            if found is not None:
+                image = [0] * o
+                for u, h in zip(reds + blues, found[0] + found[1]):
+                    image[u] = h
+                return idx, _checked(member, host, Embedding(tuple(image)))
+        return None
+
+    def is_free_graph(self, g: ColoredGraph) -> bool:
+        return self.witness(g) is None
+
+
+def _two_level_cliques(
+    ge1, red, n: int, o: int, i: int
+) -> Optional[tuple[list[int], list[int]]]:
+    """A red i-clique and an (o-i)-clique of nonzero pairs inside its common
+    nonzero neighbourhood, as (red vertices, blue vertices); None if the
+    host has none.  Vertices are tried in ascending order, so the witness is
+    deterministic."""
+    k = o - i
+
+    def red_part(cand: int, need: int, common: int, acc: list[int]):
+        # common is the nonzero neighbourhood shared by acc; it never
+        # contains a vertex of acc, since no vertex is its own neighbour.
+        while cand:
+            if cand.bit_count() < need:
+                return None
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            ncommon = common & ge1[v]
+            if ncommon.bit_count() < need - 1 + k:
+                continue
+            if need == 1:
+                blues = find_clique(ge1, ncommon, k)
+                if blues is not None:
+                    return acc + [v], blues
+            else:
+                res = red_part(cand & red[v], need - 1, ncommon, acc + [v])
+                if res is not None:
+                    return res
+        return None
+
+    full = (1 << n) - 1
+    if i == 0:
+        blues = find_clique(ge1, full, k)
+        return None if blues is None else ([], blues)
+    return red_part(full, i, full, [])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ColoredGraph
+from .core import ColoredGraph, SelfCheckError
 
 DEFAULT_NODE_BUDGET = 10 ** 9
 
@@ -110,6 +110,13 @@ def verify_certificate(g: ColoredGraph, cert: HomCertificate) -> bool:
     raise ValueError("unknown certificate kind %r" % (cert.kind,))
 
 
+def _checked(g: ColoredGraph, cert: HomCertificate) -> HomCertificate:
+    """Return a search's certificate after re-checking it with verify_certificate."""
+    if not verify_certificate(g, cert):
+        raise SelfCheckError("%s certificate fails verify_certificate" % cert.kind)
+    return cert
+
+
 def _classes_from_colors(colors: list[int], r: int) -> tuple[frozenset[int], ...]:
     classes = [set() for _ in range(r)]
     for v, c in enumerate(colors):
@@ -152,8 +159,7 @@ def search_hom_rk(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) ->
     if not rec(0, 0):
         return HomSearchResult(None, nodes)
     cert = HomCertificate(kind="rk", classes=_classes_from_colors(colors, r))
-    assert verify_certificate(g, cert)
-    return HomSearchResult(cert, nodes)
+    return HomSearchResult(_checked(g, cert), nodes)
 
 
 def find_hom_rk(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[HomCertificate]:
@@ -218,8 +224,7 @@ def search_hom_rk_minus(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDG
     cert = HomCertificate(
         kind="rk_minus", classes=_classes_from_colors(colors, r), designated=pair
     )
-    assert verify_certificate(g, cert)
-    return HomSearchResult(cert, nodes)
+    return HomSearchResult(_checked(g, cert), nodes)
 
 
 def find_hom_rk_minus(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[HomCertificate]:
@@ -268,8 +273,7 @@ def search_hom_general(
         classes=tuple(frozenset(c) for c in classes),
         target=target,
     )
-    assert verify_certificate(g, cert)
-    return HomSearchResult(cert, nodes)
+    return HomSearchResult(_checked(g, cert), nodes)
 
 
 def find_hom_general(

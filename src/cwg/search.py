@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     ColoredGraph,
+    SelfCheckError,
     even_threshold,
     edge_weight_sum,
     enumerate_graphs,
@@ -32,9 +33,10 @@ from .core import (
     pair_pos,
 )
 from .constructions import gen_family
-from .embedding import find_clique, find_embedding, is_free
+# The compiled engine lives in embedding; FamilyChecker and _two_level_shape
+# stay importable from here.
+from .embedding import FamilyChecker, _two_level_shape, find_embedding, is_free  # noqa: F401
 from .homomorphism import find_hom_rk, find_hom_rk_minus
-from .analysis import find_embedding_using_pair_any
 
 RAW_BOUND = 6
 ISO_BOUND = 8
@@ -74,87 +76,6 @@ class SearchReport:
         if self.diagnosis is not None:
             out["diagnosis"] = self.diagnosis
         return out
-
-
-# -- family compilation -------------------------------------------------------
-
-
-def _two_level_shape(member: ColoredGraph) -> Optional[tuple[int, int]]:
-    """(order, red clique size) when the member is a red clique fully joined
-    to a blue remainder with no green pair; None otherwise."""
-    n = member.n
-    red_vs = {v for v in range(n) if member.red_mask(v)}
-    for x, y in pair_list(n):
-        w = member.weight(x, y)
-        if w == 0:
-            return None
-        if (w == 2) != (x in red_vs and y in red_vs):
-            return None
-    return n, len(red_vs)
-
-
-class FamilyChecker:
-    """Freeness tester compiled from a family.
-
-    Members matching the red-clique-over-blue shape are tested with bitmask
-    clique searches; anything else falls back to the generic embedding
-    search.  This is the fast path of the enumeration engines; the embedding
-    module remains the independent reference implementation.
-    """
-
-    def __init__(self, family: list[ColoredGraph]):
-        self.family = list(family)
-        self.shapes: list[tuple[int, int]] = []
-        self.generic: list[ColoredGraph] = []
-        for member in sorted(family, key=lambda f: f.n):
-            shape = _two_level_shape(member)
-            if shape is not None:
-                self.shapes.append(shape)
-            else:
-                self.generic.append(member)
-
-    def is_free_masks(self, ge1, red, n: int) -> bool:
-        full = (1 << n) - 1
-        for o, i in self.shapes:
-            if o > n:
-                continue
-            if _has_two_level(ge1, red, full, o, i):
-                return False
-        return True
-
-    def is_free_graph(self, g: ColoredGraph) -> bool:
-        ge1 = [g.ge1_mask(v) for v in range(g.n)]
-        red = [g.red_mask(v) for v in range(g.n)]
-        if not self.is_free_masks(ge1, red, g.n):
-            return False
-        for member in self.generic:
-            if find_embedding(member, g) is not None:
-                return False
-        return True
-
-
-def _has_two_level(ge1, red, full: int, o: int, i: int) -> bool:
-    """Does the host contain a red i-clique whose common nonzero
-    neighbourhood carries a further (o-i)-clique of nonzero pairs?"""
-    if i == 0:
-        return find_clique(ge1, full, o) is not None
-
-    def rec(cand: int, need: int, common: int, used: int) -> bool:
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            nused = used | (1 << v)
-            ncommon = common & ge1[v]
-            if need == 1:
-                if find_clique(ge1, ncommon & ~nused, o - i) is not None:
-                    return True
-            elif rec(cand & red[v], need - 1, ncommon, nused):
-                return True
-        return False
-
-    return rec(full, i, full, 0)
 
 
 # -- vectorized raw scan ------------------------------------------------------
@@ -261,15 +182,20 @@ def _theorem_setup(kind: str, r: int):
     raise ValueError("unknown theorem kind %r" % (kind,))
 
 
+def _reference_is_free(g: ColoredGraph, family: list[ColoredGraph]) -> bool:
+    """Freeness through the generic backtracker alone, so that a re-check
+    does not test the compiled engine with itself."""
+    return all(find_embedding(f, g) is None for f in family)
+
+
 def _recheck_counterexample(g, family, threshold, hom) -> None:
     """Independent re-verification through the reference module paths."""
-    free, _ = is_free(g, family)
-    if not free:
-        raise AssertionError("reported counterexample is not family-free")
+    if not _reference_is_free(g, family):
+        raise SelfCheckError("reported counterexample is not family-free")
     if not threshold.exceeds(min_degree(g), g.n):
-        raise AssertionError("reported counterexample misses the degree bound")
+        raise SelfCheckError("reported counterexample misses the degree bound")
     if hom(g) is not None:
-        raise AssertionError("reported counterexample admits a homomorphism")
+        raise SelfCheckError("reported counterexample admits a homomorphism")
 
 
 def _minimize_counterexample(g, family, threshold, hom) -> ColoredGraph:
@@ -440,10 +366,9 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     weights in {0..weight_cap}.
 
     Branch and bound over pairs in lexicographic order, larger weights
-    first; the bound is current sum + cap * pairs remaining.  Freeness is
-    maintained incrementally: a newly assigned pair can only create a
-    violation through an embedding that uses it, so only anchored
-    embeddings are searched.
+    first; the bound is current sum + cap * pairs remaining.  Every node
+    with a positive new weight is checked with the compiled ``is_free``;
+    the witness is re-checked with the generic backtracker.
     """
     if n > EX_BOUND:
         raise ValueError("extremal search bound %d exceeded (n=%d)" % (EX_BOUND, n))
@@ -453,7 +378,6 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
         raise ValueError("the empty graph embeds everywhere; family is degenerate")
     t0 = time.perf_counter()
     m = num_pairs(n)
-    pairs = pair_list(n)
     digits = [0] * m
     best = -1
     best_digits: Optional[list[int]] = None
@@ -475,8 +399,7 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
             nodes += 1
             digits[d] = w
             if w > 0:
-                host = ColoredGraph.from_digits(n, digits)
-                if find_embedding_using_pair_any(host, family, pairs[d]) is not None:
+                if not is_free(ColoredGraph.from_digits(n, digits), family)[0]:
                     digits[d] = 0
                     continue
             rec(d + 1, total + w)
@@ -489,9 +412,8 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
         rec(0, 0)
         value = best
         witness = ColoredGraph.from_digits(n, best_digits)
-        free, _ = is_free(witness, family)
-        if not free or edge_weight_sum(witness) != value:
-            raise AssertionError("extremal witness failed independent re-check")
+        if not _reference_is_free(witness, family) or edge_weight_sum(witness) != value:
+            raise SelfCheckError("extremal witness failed independent re-check")
     return SearchReport(
         kind="ex_value",
         parameters={"n": n, "family_orders": [f.n for f in family], "cap": weight_cap},

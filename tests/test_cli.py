@@ -48,6 +48,13 @@ class TestGen:
         assert code == 0
         assert parse_cwg(out) == gen_rk(3)
 
+    def test_json_without_output_is_one_document(self, capsys, schema):
+        code, payload = run_json(capsys, ["gen", "--construction", "rk", "--n", "3", "--json"])
+        assert code == 0
+        assert payload["graph"] == {"n": 3, "weights": "222"}
+        assert payload["output"] is None
+        validate(schema, payload)
+
     def test_missing_parameter(self, capsys):
         assert main(["gen", "--construction", "rk"]) == 1
         assert "requires" in capsys.readouterr().err
@@ -131,6 +138,19 @@ class TestHom:
         write_cwg(path, gen_rk(2))
         assert main(["hom", "--target", "nope:3", str(path)]) == 1
 
+    def test_budget_exhausted_is_unknown(self, tmp_path, capsys, schema):
+        path = tmp_path / "g.cwg"
+        write_cwg(path, gen_even_extremal(3, 2).graph)
+        argv = ["hom", "--budget", "10", "--target", "rkminus:3", str(path)]
+        code, payload = run_json(capsys, argv + ["--json"])
+        assert code == 3
+        assert payload["exists"] is None and payload["reason"] == "budget"
+        assert payload["nodes_explored"] == 11
+        assert payload["certificate"] is None
+        validate(schema, payload)
+        assert main(argv) == 3
+        assert capsys.readouterr().out.startswith("unknown")
+
 
 class TestAnalyze:
     def test_j4(self, tmp_path, capsys, schema):
@@ -161,6 +181,14 @@ class TestComplete:
         assert code == 0
         assert payload["changed_pairs"] == 3
         assert read_cwg(out).upper_string() == "111"
+        validate(schema, payload)
+
+    def test_json_without_output_is_one_document(self, tmp_path, capsys, schema):
+        src = tmp_path / "g.cwg"
+        src.write_text("cwg 3\n000\n")
+        code, payload = run_json(capsys, ["complete", "--family", "F:4", str(src), "--json"])
+        assert code == 0
+        assert payload["graph"] == {"n": 3, "weights": "110"}
         validate(schema, payload)
 
 
@@ -217,6 +245,13 @@ class TestErrorsAndDeterminism:
         assert main(["check", "--family", "F:4", str(path)]) == 1
         err = capsys.readouterr().err
         assert "line 2" in err and "column 3" in err
+
+    def test_order_above_limit_names_it(self, tmp_path, capsys):
+        path = tmp_path / "big.cwg"
+        path.write_text("cwg 70\n%s\n" % ("0" * 2415))
+        assert main(["check", "--family", "F:4", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "maximum order 64" in err
 
     def test_missing_file(self, capsys):
         assert main(["check", "--family", "F:4", "/nonexistent.cwg"]) == 1

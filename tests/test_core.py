@@ -272,6 +272,9 @@ class TestCwgFormat:
             parse_cwg("cwg x\n")
         with pytest.raises(CwgFormatError):
             parse_cwg("cwg -1\n")
+        with pytest.raises(CwgFormatError, match="maximum order 64") as exc:
+            parse_cwg("cwg 65\n")
+        assert exc.value.line == 1
 
     def test_body_errors(self):
         with pytest.raises(CwgFormatError) as exc:

@@ -1,0 +1,67 @@
+"""Every search re-checks its own result with the independent verifier and
+raises SelfCheckError when the verifier rejects it, also under python -O."""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import cwg
+from cwg import SelfCheckError, embedding, homomorphism
+from cwg.constructions import gen_family, gen_j, gen_rk, gen_rk_minus
+
+
+def _reject_embeddings(monkeypatch):
+    monkeypatch.setattr(embedding, "verify_embedding", lambda pattern, host, emb: False)
+
+
+def _reject_certificates(monkeypatch):
+    monkeypatch.setattr(homomorphism, "verify_certificate", lambda g, cert: False)
+
+
+@pytest.mark.parametrize(
+    "reject, search",
+    [
+        (_reject_embeddings, lambda: embedding.find_embedding(gen_rk(2), gen_rk(3))),
+        (_reject_embeddings, lambda: embedding.find_embedding_using_pair(gen_rk(2), gen_rk(3), (0, 1))),
+        (_reject_embeddings, lambda: embedding.is_free(gen_rk(3), gen_family(6))),
+        (_reject_embeddings, lambda: embedding.is_free(gen_rk(4), [gen_j(3).graph])),
+        (_reject_certificates, lambda: homomorphism.search_hom_rk(gen_rk(3), 3)),
+        (_reject_certificates, lambda: homomorphism.search_hom_rk_minus(gen_rk_minus(3), 3)),
+        (_reject_certificates, lambda: homomorphism.search_hom_general(gen_rk(3), gen_rk(3))),
+    ],
+    ids=["find_embedding", "anchored", "compiled", "generic_member", "rk", "rk_minus", "general"],
+)
+def test_rejected_result_raises(monkeypatch, reject, search):
+    reject(monkeypatch)
+    with pytest.raises(SelfCheckError):
+        search()
+
+
+def test_checks_survive_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from cwg import SelfCheckError, embedding, homomorphism, gen_family, gen_rk
+        embedding.verify_embedding = lambda pattern, host, emb: False
+        homomorphism.verify_certificate = lambda g, cert: False
+        raised = 0
+        for search in (
+            lambda: embedding.is_free(gen_rk(3), gen_family(6)),
+            lambda: homomorphism.search_hom_rk(gen_rk(3), 3),
+        ):
+            try:
+                search()
+            except SelfCheckError:
+                raised += 1
+        print(raised)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(cwg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "2"
