@@ -156,6 +156,11 @@ def _le1_classes(g: ColoredGraph) -> list[list[int]]:
     return comps
 
 
+def _blue_pairs(g: ColoredGraph, cls: list[int]) -> list[tuple[int, int]]:
+    """The blue pairs inside a class, in class order."""
+    return [(u, v) for i, u in enumerate(cls) for v in cls[i + 1:] if g.weight(u, v) == 1]
+
+
 def _blue_bipartition(g: ColoredGraph, cls: list[int]):
     """2-color the blue graph on a class by BFS; returns (B, C) or an odd
     cycle witness triple/None on failure."""
@@ -225,7 +230,7 @@ def decompose(
     blue_classes = []
     green_classes = []
     for cls in classes:
-        if any(g.weight(u, v) == 1 for i, u in enumerate(cls) for v in cls[i + 1:]):
+        if _blue_pairs(g, cls):
             blue_classes.append(cls)
         else:
             green_classes.append(cls)
@@ -248,13 +253,10 @@ def decompose(
     cert_classes: list[frozenset[int]] = []
     designated_src = None
     for cls in blue_classes:
-        blue_pairs = [
-            (u, v) for i, u in enumerate(cls) for v in cls[i + 1:] if g.weight(u, v) == 1
-        ]
         triangle = next(
             (
                 (a, b, c)
-                for i, (a, b) in enumerate(blue_pairs)
+                for a, b in _blue_pairs(g, cls)
                 for c in cls
                 if c not in (a, b)
                 and g.weight(a, c) == 1
@@ -326,9 +328,7 @@ def build_structure_report(g: ColoredGraph, r: int) -> StructureReport:
     class_rows = []
     s = 0
     for cls in classes:
-        has_blue = any(
-            g.weight(u, v) == 1 for i, u in enumerate(cls) for v in cls[i + 1:]
-        )
+        has_blue = bool(_blue_pairs(g, cls))
         s += has_blue
         class_rows.append({"vertices": cls, "has_blue": has_blue})
     return StructureReport(

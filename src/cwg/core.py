@@ -356,16 +356,8 @@ class EnumerationStats:
 
 
 def _enumerate_raw(n: int, visitor) -> int:
-    m = num_pairs(n)
-    total = 3 ** m
     count = 0
-    for code in range(total):
-        digits = []
-        c = code
-        for _ in range(m):
-            digits.append(c % 3)
-            c //= 3
-        g = ColoredGraph.from_digits(n, digits)
+    for g in all_graphs(n):
         count += 1
         if visitor is not None:
             visitor(g)
@@ -426,9 +418,7 @@ def enumerate_graphs(
     visits one representative per isomorphism class (n <= 8).
     """
     if mode == "raw":
-        if n > RAW_ENUM_BOUND:
-            raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_ENUM_BOUND, n))
-        count = _enumerate_raw(n, visitor)
+        count = _enumerate_raw(n, visitor)  # all_graphs checks the bound
     elif mode == "isomorph_free":
         if n > ISO_ENUM_BOUND:
             raise ValueError("isomorph-free bound %d exceeded (n=%d)" % (ISO_ENUM_BOUND, n))
@@ -442,14 +432,25 @@ def all_graphs(n: int) -> Iterator[ColoredGraph]:
     """Iterator over all labelled colored graphs of order n (raw order)."""
     if n > RAW_ENUM_BOUND:
         raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_ENUM_BOUND, n))
-    m = num_pairs(n)
-    for code in range(3 ** m):
-        digits = []
-        c = code
-        for _ in range(m):
-            digits.append(c % 3)
-            c //= 3
-        yield ColoredGraph.from_digits(n, digits)
+    for code in range(3 ** num_pairs(n)):
+        yield graph_from_code(n, code)
+
+
+def graph_from_code(n: int, code: int) -> ColoredGraph:
+    """Decode a base-3 enumeration code: digit i is the weight of pair i."""
+    digits = []
+    for _ in range(num_pairs(n)):
+        code, d = divmod(code, 3)
+        digits.append(d)
+    return ColoredGraph.from_digits(n, digits)
+
+
+def code_of_graph(g: ColoredGraph) -> int:
+    """Inverse of ``graph_from_code``."""
+    code = 0
+    for d in reversed(g.digits()):
+        code = code * 3 + d
+    return code
 
 
 # -- errors -------------------------------------------------------------------

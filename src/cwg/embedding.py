@@ -283,7 +283,6 @@ class FamilyChecker:
 
     def __init__(self, family: list[ColoredGraph]):
         self.family = list(family)
-        self.shapes: list[tuple[int, int]] = []
         self.generic: list[ColoredGraph] = []
         # (family index, member, shape or None, red vertices, blue vertices)
         self._plan = []
@@ -294,7 +293,6 @@ class FamilyChecker:
                 self.generic.append(member)
                 self._plan.append((idx, member, None, (), ()))
             else:
-                self.shapes.append(shape)
                 reds = tuple(v for v in range(member.n) if member.red_mask(v))
                 blues = tuple(v for v in range(member.n) if not member.red_mask(v))
                 self._plan.append((idx, member, shape, reds, blues))

@@ -1,12 +1,13 @@
 """Exhaustive and branch-and-bound search engines.
 
-Raw verification sweeps all 3^C(n,2) labelled graphs.  The hypothesis
-filter runs vectorized: degrees first (the minimum-degree cutoff removes
-the vast majority), then family-freeness compiled to boolean pair
-conditions, both over numpy chunks of the base-3 code space.  Survivors
-get the homomorphism conclusion checked one by one, and any counterexample
-is re-verified through the independent embedding/homomorphism modules and
-greedily weight-minimized before it is reported.
+Raw verification and the threshold probe sweep all 3^C(n,2) labelled
+graphs with one scan loop, ``_scan_raw``.  It runs vectorized over numpy
+chunks of the base-3 code space: degrees first (the minimum-degree cutoff
+removes the vast majority), then family-freeness compiled to boolean pair
+conditions.  Survivors get the homomorphism conclusion checked one by one,
+and any counterexample is re-verified through the independent
+embedding/homomorphism modules and greedily weight-minimized before it is
+reported.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import (
+    RAW_ENUM_BOUND,
     ColoredGraph,
     SelfCheckError,
+    code_of_graph,
     even_threshold,
     edge_weight_sum,
     enumerate_graphs,
+    graph_from_code,
     min_degree,
     num_pairs,
     odd_threshold,
@@ -33,15 +37,14 @@ from .core import (
     pair_pos,
 )
 from .constructions import gen_family
-# The compiled engine lives in embedding; FamilyChecker and _two_level_shape
-# stay importable from here.
-from .embedding import FamilyChecker, _two_level_shape, find_embedding, is_free  # noqa: F401
+from .embedding import FamilyChecker, _two_level_shape, find_embedding, is_free
 from .homomorphism import find_hom_rk, find_hom_rk_minus
 
-RAW_BOUND = 6
-ISO_BOUND = 8
 EX_BOUND = 8
-_CHUNK = 3 ** 13
+# Codes per scan chunk: small enough that a chunk's arrays take a few MiB.
+_CHUNK = 3 ** 11
+# One record per scanned graph that survives the filters.
+_RECORD = np.dtype([("code", np.int64), ("mindeg", np.uint8)])
 
 
 @dataclass
@@ -81,13 +84,21 @@ class SearchReport:
 # -- vectorized raw scan ------------------------------------------------------
 
 
-def _compile_conditions(n: int, shapes: list[tuple[int, int]]):
-    """Boolean pair conditions whose disjunction detects any shaped member:
+def _compile_conditions(n: int, family: list[ColoredGraph]):
+    """Boolean pair conditions whose disjunction detects any family member:
     one condition per (vertex subset, red-clique subset) choice, listing the
-    pair positions that must be red and those that must be nonzero."""
+    pair positions that must be red and those that must be nonzero.  Every
+    member must be a red clique fully joined to a blue remainder."""
     pos = pair_pos(n)
     conditions = []
-    for o, i in shapes:
+    for idx, member in enumerate(family):
+        shape = _two_level_shape(member)
+        if shape is None:
+            raise ValueError(
+                "family member %d (order %d) is not a red clique over a blue "
+                "clique; the raw scan cannot compile it" % (idx, member.n)
+            )
+        o, i = shape
         if o > n:
             continue
         for subset in itertools.combinations(range(n), o):
@@ -113,14 +124,15 @@ def _scan_raw(
     hi: int,
     chunk: int = _CHUNK,
 ) -> Iterable[np.ndarray]:
-    """Yield arrays of codes in [lo, hi) whose graphs pass minimum degree
-    >= cutoff and, when conditions are given, contain no shaped member."""
+    """Yield, per chunk of [lo, hi), a record array (fields ``code`` and
+    ``mindeg``) of the graphs with minimum degree >= cutoff that, when
+    conditions are given, contain no compiled member.  Chunks without a
+    degree survivor yield nothing."""
     m = num_pairs(n)
     pairs = pair_list(n)
     for start in range(lo, hi, chunk):
         stop = min(start + chunk, hi)
-        codes = np.arange(start, stop, dtype=np.int64)
-        rem = codes.copy()
+        rem = np.arange(start, stop, dtype=np.int64)
         digits = np.empty((m, stop - start), dtype=np.uint8)
         for p in range(m):
             digits[p] = rem % 3
@@ -129,12 +141,15 @@ def _scan_raw(
         for p, (x, y) in enumerate(pairs):
             degs[x] += digits[p]
             degs[y] += digits[p]
-        mask = degs.min(axis=0) >= cutoff
-        idx = np.flatnonzero(mask)
+        mindeg = degs.min(axis=0)
+        idx = np.flatnonzero(mindeg >= cutoff)
         if idx.size == 0:
             continue
         if conditions is not None:
-            sub = digits[:, idx]
+            # take() keeps the rows contiguous; fancy indexing on the second
+            # axis would return a column-major copy, several times slower to
+            # test row by row.
+            sub = digits.take(idx, axis=1)
             ge1 = sub >= 1
             red = sub == 2
             bad = np.zeros(idx.size, dtype=bool)
@@ -147,24 +162,10 @@ def _scan_raw(
                 if cond is not None:
                     bad |= cond
             idx = idx[~bad]
-        yield codes[idx]
-
-
-def graph_from_code(n: int, code: int) -> ColoredGraph:
-    """Decode a base-3 enumeration code into a graph."""
-    m = num_pairs(n)
-    digits = []
-    for _ in range(m):
-        digits.append(code % 3)
-        code //= 3
-    return ColoredGraph.from_digits(n, digits)
-
-
-def code_of_graph(g: ColoredGraph) -> int:
-    code = 0
-    for d in reversed(g.digits()):
-        code = code * 3 + d
-    return code
+        block = np.empty(idx.size, dtype=_RECORD)
+        block["code"] = start + idx
+        block["mindeg"] = mindeg[idx]
+        yield block
 
 
 # -- theorem verification -----------------------------------------------------
@@ -227,19 +228,13 @@ def _verify_worker(args) -> tuple[int, int, Optional[int]]:
     counterexample code or None).  Module-level for multiprocessing."""
     kind, r, n, cutoff, lo, hi = args
     family, threshold, hom = _theorem_setup(kind, r)
-    checker = FamilyChecker(family)
-    conditions = _compile_conditions(n, checker.shapes) if not checker.generic else None
+    conditions = _compile_conditions(n, family)
     passed = 0
-    scanned = 0
-    for codes in _scan_raw(n, cutoff, conditions, lo, hi):
-        for code in codes.tolist():
-            g = graph_from_code(n, code)
-            if checker.generic and not checker.is_free_graph(g):
-                continue
+    for block in _scan_raw(n, cutoff, conditions, lo, hi):
+        for code in block["code"].tolist():
             passed += 1
-            if hom(g) is None:
-                scanned = code + 1 - lo
-                return scanned, passed, code
+            if hom(graph_from_code(n, code)) is None:
+                return code + 1 - lo, passed, code
     return hi - lo, passed, None
 
 
@@ -265,8 +260,8 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str, threads: Optional[int]
     ce_code: Optional[int] = None
 
     if mode == "raw":
-        if n > RAW_BOUND:
-            raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_BOUND, n))
+        if n > RAW_ENUM_BOUND:
+            raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_ENUM_BOUND, n))
         total = 3 ** num_pairs(n)
         nthreads = threads if threads is not None else (os.cpu_count() or 1)
         parameters["threads"] = nthreads
@@ -289,8 +284,6 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str, threads: Optional[int]
         else:
             enumerated, passed, ce_code = _verify_worker((kind, r, n, cutoff, 0, total))
     elif mode in ("iso", "isomorph_free"):
-        if n > ISO_BOUND:
-            raise ValueError("isomorph-free bound %d exceeded (n=%d)" % (ISO_BOUND, n))
         checker = FamilyChecker(family)
         found: list[ColoredGraph] = []
 
@@ -439,56 +432,23 @@ def empirical_threshold(n: int, r: int, kind: str) -> SearchReport:
     the exact rational bound next to the observed value.
     """
     family, threshold, hom = _theorem_setup(kind, r)
-    if not 1 <= n <= RAW_BOUND:
-        raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_BOUND, n))
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > RAW_ENUM_BOUND:
+        raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_ENUM_BOUND, n))
     t0 = time.perf_counter()
-    checker = FamilyChecker(family)
-    conditions = _compile_conditions(n, checker.shapes) if not checker.generic else None
     total = 3 ** num_pairs(n)
-
-    # One vectorized pass marks free graphs and records minimum degrees.
-    m = num_pairs(n)
-    pairs = pair_list(n)
-    mindeg = np.empty(total, dtype=np.uint8)
-    free = np.zeros(total, dtype=bool)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        rem = codes.copy()
-        digits = np.empty((m, stop - start), dtype=np.uint8)
-        for p in range(m):
-            digits[p] = rem % 3
-            rem //= 3
-        degs = np.zeros((n, stop - start), dtype=np.uint8)
-        for p, (x, y) in enumerate(pairs):
-            degs[x] += digits[p]
-            degs[y] += digits[p]
-        mindeg[start:stop] = degs.min(axis=0)
-        if conditions is not None:
-            ge1 = digits >= 1
-            red = digits == 2
-            bad = np.zeros(stop - start, dtype=bool)
-            for red_positions, ge1_positions in conditions:
-                cond = None
-                for p in red_positions:
-                    cond = red[p] if cond is None else (cond & red[p])
-                for p in ge1_positions:
-                    cond = ge1[p] if cond is None else (cond & ge1[p])
-                if cond is not None:
-                    bad |= cond
-            free[start:stop] = ~bad
-        else:
-            free[start:stop] = True
+    # Every family-free graph with its minimum degree, in code order.  The
+    # blocks are kept apart: concatenating them would double the peak memory.
+    blocks = list(_scan_raw(n, 0, _compile_conditions(n, family), 0, total))
 
     value = None
     witness = None
     checked = 0
     for d in range(2 * (n - 1), -1, -1):
-        candidates = np.flatnonzero(free & (mindeg == d))
-        for code in candidates.tolist():
+        codes = (b["code"][b["mindeg"] == d].tolist() for b in blocks)
+        for code in itertools.chain.from_iterable(codes):
             g = graph_from_code(n, code)
-            if checker.generic and not checker.is_free_graph(g):
-                continue
             checked += 1
             if hom(g) is None:
                 value = d

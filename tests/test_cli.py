@@ -223,6 +223,11 @@ class TestThreshold:
         assert payload["value"] == 2
         validate(schema, payload)
 
+    def test_order_zero_names_the_lower_bound(self, capsys):
+        assert main(["threshold", "--n", "0", "--r", "2", "--kind", "odd"]) == 1
+        err = capsys.readouterr().err
+        assert "need n >= 1" in err and "bound" not in err
+
 
 class TestDensity:
     def test_rows(self, tmp_path, capsys, schema):

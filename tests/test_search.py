@@ -1,6 +1,14 @@
 import pytest
 
-from cwg.core import ColoredGraph, Threshold, all_graphs, edge_weight_sum, min_degree
+from cwg.core import (
+    ColoredGraph,
+    Threshold,
+    all_graphs,
+    edge_weight_sum,
+    enumerate_graphs,
+    min_degree,
+    num_pairs,
+)
 from cwg.constructions import (
     blow_up,
     gen_bk,
@@ -15,9 +23,11 @@ from cwg.homomorphism import find_hom_rk
 from cwg.search import (
     FamilyChecker,
     SearchReport,
+    _compile_conditions,
     _minimize_counterexample,
     _recheck_counterexample,
     _reference_is_free,
+    _scan_raw,
     _two_level_shape,
     code_of_graph,
     compute_ex,
@@ -204,9 +214,56 @@ class TestCounterexampleMachinery:
 
 class TestCodeRoundTrip:
     def test_round_trip(self, rng):
-        for _ in range(50):
-            g = random_graph(rng, 5)
-            assert graph_from_code(5, code_of_graph(g)) == g
+        for n in range(7):
+            for _ in range(50):
+                g = random_graph(rng, n)
+                assert graph_from_code(n, code_of_graph(g)) == g
+                code = rng.randrange(3 ** num_pairs(n))
+                assert code_of_graph(graph_from_code(n, code)) == code
+
+    def test_raw_enumeration_follows_code_order(self):
+        for n in range(5):
+            expected = [graph_from_code(n, c) for c in range(3 ** num_pairs(n))]
+            visited = []
+            enumerate_graphs(n, "raw", visited.append)
+            assert list(all_graphs(n)) == visited == expected
+
+
+class TestScanRaw:
+    @staticmethod
+    def records(*args, **kwargs):
+        return [(int(c), int(d)) for b in _scan_raw(*args, **kwargs) for c, d in b.tolist()]
+
+    def test_matches_brute_force_n4(self):
+        n = 4
+        for fam in (None, gen_family(5), gen_family(6)):
+            conditions = None if fam is None else _compile_conditions(n, fam)
+            for cutoff in (0, 3):
+                expected = [
+                    (code, min_degree(g))
+                    for code, g in enumerate(all_graphs(n))
+                    if min_degree(g) >= cutoff and (fam is None or brute_force_is_free(g, fam))
+                ]
+                got = self.records(n, cutoff, conditions, 0, 3 ** num_pairs(n))
+                assert got == expected
+                for code, mindeg in got:
+                    assert mindeg == min_degree(graph_from_code(n, code))
+
+    def test_unaligned_small_chunks(self):
+        conditions = _compile_conditions(4, gen_family(5))
+        for cutoff, cond in ((0, None), (2, conditions)):
+            whole = self.records(4, cutoff, cond, 5, 700, chunk=695)
+            assert whole
+            assert self.records(4, cutoff, cond, 5, 700, chunk=7) == whole
+
+    def test_yields_one_record_array_per_chunk(self):
+        blocks = list(_scan_raw(3, 0, None, 0, 27, chunk=10))
+        assert [len(b) for b in blocks] == [10, 10, 7]
+        assert blocks[0].dtype.names == ("code", "mindeg")
+
+    def test_rejects_unshaped_members(self):
+        with pytest.raises(ValueError, match="member 1"):
+            _compile_conditions(5, [gen_rk(2), gen_j(3).graph])
 
 
 class TestComputeEx:
