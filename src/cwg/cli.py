@@ -19,7 +19,6 @@ from typing import Optional
 from . import __version__
 from .core import (
     ColoredGraph,
-    CwgFormatError,
     parse_cwg_family,
     read_cwg,
     to_cwg,
@@ -440,13 +439,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except CwgFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -129,47 +129,6 @@ def find_embedding(pattern: ColoredGraph, host: ColoredGraph) -> Optional[Embedd
     return _checked(pattern, host, Embedding(tuple(image[u] for u in range(pattern.n))))
 
 
-def find_embedding_using_pair(
-    pattern: ColoredGraph, host: ColoredGraph, pair: tuple[int, int]
-) -> Optional[Embedding]:
-    """Embedding whose image covers the given host pair with a pattern pair
-    of weight >= 1.  Complete for incremental freeness checks: when a host
-    that was family-free gets one weight raised, any new violation must use
-    the raised pair at positive pattern weight."""
-    hx, hy = pair
-    w_host = host.weight(hx, hy)
-    if w_host == 0 or pattern.n > host.n:
-        return None
-    order_rest_cache: dict[tuple[int, int], list[int]] = {}
-    host_ge1_count = [host.ge1_mask(v).bit_count() for v in range(host.n)]
-    host_red_count = [host.red_mask(v).bit_count() for v in range(host.n)]
-    pat_ge1_count = [pattern.ge1_mask(v).bit_count() for v in range(pattern.n)]
-    pat_red_count = [pattern.red_mask(v).bit_count() for v in range(pattern.n)]
-    for a, b in pair_list(pattern.n):
-        w_pat = pattern.weight(a, b)
-        if not 1 <= w_pat <= w_host:
-            continue
-        for pa, pb in ((a, b), (b, a)):
-            key = (pa, pb)
-            if key not in order_rest_cache:
-                rest = [u for u in _search_order(pattern) if u not in (pa, pb)]
-                order_rest_cache[key] = [pa, pb] + rest
-            order = order_rest_cache[key]
-            if (host_red_count[hx] < pat_red_count[pa]
-                    or host_ge1_count[hx] < pat_ge1_count[pa]
-                    or host_red_count[hy] < pat_red_count[pb]
-                    or host_ge1_count[hy] < pat_ge1_count[pb]):
-                continue
-            image = {pa: hx, pb: hy}
-            res = _extend(
-                pattern, host, order, 2, image, (1 << hx) | (1 << hy),
-                host_ge1_count, host_red_count, pat_ge1_count, pat_red_count,
-            )
-            if res is not None:
-                return _checked(pattern, host, Embedding(tuple(res[u] for u in range(pattern.n))))
-    return None
-
-
 def is_free(
     host: ColoredGraph, family: list[ColoredGraph]
 ) -> tuple[bool, Optional[tuple[int, Embedding]]]:

@@ -6,14 +6,21 @@ weight of the image pair.  Into an all-red clique of order r this is exactly
 a partition into at most r green cliques; the one-blue-pair variant further
 requires two classes without a red cross pair.  Homomorphisms need not be
 surjective, so empty classes are permitted.
+
+One search (``_search_hom``) serves every target: ``search_hom_rk``,
+``search_hom_rk_minus`` and ``search_hom_general`` run it on ``gen_rk(r)``,
+``gen_rk_minus(r)`` or the given graph and build their certificates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
+from .constructions import gen_rk, gen_rk_minus
 from .core import ColoredGraph, SelfCheckError
+from .embedding import find_embedding
 
 DEFAULT_NODE_BUDGET = 10 ** 9
 
@@ -117,49 +124,126 @@ def _checked(g: ColoredGraph, cert: HomCertificate) -> HomCertificate:
     return cert
 
 
-def _classes_from_colors(colors: list[int], r: int) -> tuple[frozenset[int], ...]:
-    classes = [set() for _ in range(r)]
-    for v, c in enumerate(colors):
-        classes[c].add(v)
-    return tuple(frozenset(c) for c in classes)
+def _result(g: ColoredGraph, classes, nodes: int, **fields) -> HomSearchResult:
+    """Wrap a search's classes (None when there is no homomorphism) in a
+    re-checked certificate of the given fields."""
+    if classes is None:
+        return HomSearchResult(None, nodes)
+    return HomSearchResult(_checked(g, HomCertificate(classes=classes, **fields)), nodes)
 
 
-def search_hom_rk(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) -> HomSearchResult:
-    """Partition into at most r green cliques, i.e. a proper r-coloring of
-    the graph whose edges are the pairs of weight >= 1.  Classes are opened
-    in vertex order (the first vertex of a new class is the least unassigned
-    one), which breaks color symmetry."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    n = g.n
+@functools.lru_cache(maxsize=32)
+def _quotient_images(target: ColoredGraph) -> Optional[dict[int, Optional[tuple[int, ...]]]]:
+    """Memo of quotient -> image of its classes in the target (None when the
+    quotient does not embed), shared by every search into this target;
+    graphs are immutable.  None when every target pair is red: then every
+    quotient embeds and the search does not track it.
+
+    A quotient has one vertex per target vertex (classes not yet opened are
+    isolated) and is keyed by its matrix, two bits per entry (i * k + j):
+    01 for blue, 11 for red, so that OR takes the larger weight."""
+    k = target.n
+    if all(target.red_mask(t).bit_count() == k - 1 for t in range(k)):
+        return None
+    return {0: tuple(range(k))}
+
+
+def _quotient_image(target: ColoredGraph, q: int) -> Optional[tuple[int, ...]]:
+    """Image of each class of quotient q in the target, or None when q does
+    not embed."""
+    k = target.n
+    weights = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            field = q >> 2 * (i * k + j) & 3
+            if field:
+                weights[(i, j)] = 2 if field == 3 else 1
+    emb = find_embedding(ColoredGraph.from_pair_weights(k, weights), target)
+    return None if emb is None else emb.map
+
+
+def _search_hom(
+    g: ColoredGraph, target: ColoredGraph, budget: int
+) -> tuple[Optional[tuple[frozenset[int], ...]], int]:
+    """The homomorphism search behind every target: (classes, nodes), where
+    classes[t] is the preimage of target vertex t, or None when g has no
+    homomorphism into the target.
+
+    Preimages are green cliques, so the search partitions g into at most
+    k = target.n green cliques.  Vertices are placed in index order, each
+    into an open class or the next new one (the first vertex of a new class
+    is the least unassigned one), which visits every partition once; every
+    try is a node.  The quotient, the largest weight between each two
+    classes, is kept up to date, and a branch is cut as soon as the quotient
+    no longer embeds in the target (``find_embedding``, memoised per
+    quotient)."""
+    n, k = g.n, target.n
+    ge1 = [g.ge1_mask(v) for v in range(n)]
+    red = [g.red_mask(v) for v in range(n)]
+    images = _quotient_images(target)
+    class_mask = [0] * k
+    # Touched classes of a vertex (two bits per class) -> the same entries
+    # in column 0 of the quotient matrix.
+    column: dict[int, int] = {}
     nodes = 0
-    colors = [-1] * n
-    adj = [g.ge1_mask(v) for v in range(n)]
-    class_mask = [0] * r
 
-    def rec(v: int, used: int) -> bool:
+    def rec(v: int, used: int, q: int) -> Optional[int]:
         nonlocal nodes
         if v == n:
-            return True
-        limit = min(used + 1, r)
-        for c in range(limit):
+            return q
+        gv, rv = ge1[v], red[v]
+        touched = 0
+        if images is not None:
+            for d in range(used):
+                m = class_mask[d]
+                if gv & m:
+                    touched |= (3 if rv & m else 1) << 2 * d
+        if touched:
+            col = column.get(touched)
+            if col is None:
+                col = column[touched] = sum(
+                    (touched >> 2 * d & 3) << 2 * d * k for d in range(used)
+                )
+        for c in range(min(used + 1, k)):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes)
-            if adj[v] & class_mask[c]:
+            if gv & class_mask[c]:
                 continue
-            colors[v] = c
+            nq = q
+            if touched:
+                nq = q | touched << 2 * c * k | col << 2 * c
+                if nq != q:
+                    image = images.get(nq, False)
+                    if image is False:
+                        image = images[nq] = _quotient_image(target, nq)
+                    if image is None:
+                        continue
             class_mask[c] |= 1 << v
-            if rec(v + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
+            leaf = rec(v + 1, max(used, c + 1), nq)
+            if leaf is not None:
+                return leaf
             class_mask[c] &= ~(1 << v)
-        return False
+        return None
 
-    if not rec(0, 0):
-        return HomSearchResult(None, nodes)
-    cert = HomCertificate(kind="rk", classes=_classes_from_colors(colors, r))
-    return HomSearchResult(_checked(g, cert), nodes)
+    leaf = rec(0, 0, 0)
+    if leaf is None:
+        return None, nodes
+    image = range(k) if images is None else images[leaf]
+    classes = [frozenset()] * k
+    for c, t in enumerate(image):
+        classes[t] = frozenset(v for v in range(n) if class_mask[c] >> v & 1)
+    return tuple(classes), nodes
+
+
+def search_hom_rk(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) -> HomSearchResult:
+    """Homomorphism into the red clique of order r: a partition into at most
+    r green cliques, i.e. a proper r-coloring of the graph whose edges are
+    the pairs of weight >= 1.  classes[i] is the i-th class opened."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    classes, nodes = _search_hom(g, gen_rk(r), budget)
+    return _result(g, classes, nodes, kind="rk")
 
 
 def find_hom_rk(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[HomCertificate]:
@@ -167,64 +251,13 @@ def find_hom_rk(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) -> O
 
 
 def search_hom_rk_minus(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) -> HomSearchResult:
-    """Partition into at most r green cliques such that two classes have no
-    red cross pair.  The search walks all symmetry-broken partitions and
-    tracks which class pairs are already spoiled by a red edge; it prunes
-    once every pair is spoiled and all r classes are in use (pairs with an
-    unopened class stay feasible because empty classes are allowed)."""
+    """Homomorphism into the red clique of order r with the blue pair (0, 1)
+    (``gen_rk_minus``): a partition into at most r green cliques in which
+    classes 0 and 1, the designated pair, have no red cross pair."""
     if r < 2:
         raise ValueError("need r >= 2")
-    n = g.n
-    nodes = 0
-    colors = [-1] * n
-    adj = [g.ge1_mask(v) for v in range(n)]
-    red = [g.red_mask(v) for v in range(n)]
-    class_mask = [0] * r
-    crossed = [[False] * r for _ in range(r)]
-
-    def good_pair(used: int) -> Optional[tuple[int, int]]:
-        for i in range(r):
-            for j in range(i + 1, r):
-                if j >= used or not crossed[i][j]:
-                    return (i, j)
-        return None
-
-    def rec(v: int, used: int) -> bool:
-        nonlocal nodes
-        if v == n:
-            return good_pair(used) is not None
-        if used == r and good_pair(used) is None:
-            return False
-        limit = min(used + 1, r)
-        for c in range(limit):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            if adj[v] & class_mask[c]:
-                continue
-            touched = []
-            for d in range(used):
-                if d != c and not crossed[min(c, d)][max(c, d)] and red[v] & class_mask[d]:
-                    crossed[min(c, d)][max(c, d)] = True
-                    touched.append((min(c, d), max(c, d)))
-            colors[v] = c
-            class_mask[c] |= 1 << v
-            if rec(v + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-            class_mask[c] &= ~(1 << v)
-            for a, b in touched:
-                crossed[a][b] = False
-        return False
-
-    if not rec(0, 0):
-        return HomSearchResult(None, nodes)
-    used = max(colors, default=-1) + 1
-    pair = good_pair(used)
-    cert = HomCertificate(
-        kind="rk_minus", classes=_classes_from_colors(colors, r), designated=pair
-    )
-    return HomSearchResult(_checked(g, cert), nodes)
+    classes, nodes = _search_hom(g, gen_rk_minus(r), budget)
+    return _result(g, classes, nodes, kind="rk_minus", designated=(0, 1))
 
 
 def find_hom_rk_minus(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[HomCertificate]:
@@ -234,46 +267,9 @@ def find_hom_rk_minus(g: ColoredGraph, r: int, budget: int = DEFAULT_NODE_BUDGET
 def search_hom_general(
     g: ColoredGraph, target: ColoredGraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> HomSearchResult:
-    """Arbitrary-target homomorphism by backtracking over vertices in index
-    order; images are tried in ascending target order."""
-    n = g.n
-    k = target.n
-    nodes = 0
-    image = [-1] * n
-
-    def rec(v: int) -> bool:
-        nonlocal nodes
-        if v == n:
-            return True
-        for t in range(k):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            ok = True
-            for u in range(v):
-                if g.weight(v, u) > target.weight(t, image[u]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = t
-                if rec(v + 1):
-                    return True
-                image[v] = -1
-        return False
-
-    if n > 0 and k == 0:
-        return HomSearchResult(None, 0)
-    if not rec(0):
-        return HomSearchResult(None, nodes)
-    classes = [set() for _ in range(k)]
-    for v, t in enumerate(image):
-        classes[t].add(v)
-    cert = HomCertificate(
-        kind="general",
-        classes=tuple(frozenset(c) for c in classes),
-        target=target,
-    )
-    return HomSearchResult(_checked(g, cert), nodes)
+    """Homomorphism into an arbitrary target graph."""
+    classes, nodes = _search_hom(g, target, budget)
+    return _result(g, classes, nodes, kind="general", target=target)
 
 
 def find_hom_general(

@@ -29,6 +29,20 @@ def brute_force_is_free(host: ColoredGraph, family) -> bool:
     return not any(brute_force_embeds(f, host) for f in family)
 
 
+def brute_force_hom(g: ColoredGraph, target: ColoredGraph) -> bool:
+    """Try all target.n ** g.n vertex maps: a homomorphism keeps every weight
+    at most the target weight of the image pair, and two vertices with the
+    same image have weight 0."""
+    pairs = pair_list(g.n)
+    for image in itertools.product(range(target.n), repeat=g.n):
+        if all(
+            g.weight(x, y) <= (0 if image[x] == image[y] else target.weight(image[x], image[y]))
+            for x, y in pairs
+        ):
+            return True
+    return False
+
+
 def chromatic_le(g: ColoredGraph, r: int) -> bool:
     """Can the nonzero-weight graph be covered by r independent sets?
     Subset dynamic programming, independent of the coloring backtracker."""

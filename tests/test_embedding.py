@@ -15,7 +15,6 @@ from cwg.constructions import (
 from cwg.embedding import (
     common_red_neighborhood,
     find_embedding,
-    find_embedding_using_pair,
     is_free,
     max_blue_clique,
     verify_embedding,
@@ -85,39 +84,6 @@ class TestFindEmbedding:
         first = find_embedding(p, h)
         for _ in range(3):
             assert find_embedding(p, h) == first
-
-
-class TestAnchoredEmbedding:
-    def test_complete_after_increment(self, rng):
-        # Raising one pair of a free host creates a violation iff the
-        # anchored search finds one through that pair.
-        fam = gen_family(5)
-        checked = 0
-        while checked < 200:
-            h = random_graph(rng, 5)
-            if not is_free(h, fam)[0]:
-                continue
-            x, y = rng.choice(pair_list(5))
-            w = h.weight(x, y)
-            if w == 2:
-                continue
-            raised = h.with_weight(x, y, w + 1)
-            anchored = any(
-                find_embedding_using_pair(f, raised, (x, y)) is not None for f in fam
-            )
-            full = not is_free(raised, fam)[0]
-            assert anchored == full
-            checked += 1
-
-    def test_soundness(self, rng):
-        for _ in range(200):
-            p = random_graph(rng, 3)
-            h = random_graph(rng, 5)
-            pr = rng.choice(pair_list(5))
-            emb = find_embedding_using_pair(p, h, pr)
-            if emb is not None:
-                assert verify_embedding(p, h, emb)
-                assert set(pr) <= set(emb.map)
 
 
 class TestIsFree:

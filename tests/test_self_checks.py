@@ -25,14 +25,13 @@ def _reject_certificates(monkeypatch):
     "reject, search",
     [
         (_reject_embeddings, lambda: embedding.find_embedding(gen_rk(2), gen_rk(3))),
-        (_reject_embeddings, lambda: embedding.find_embedding_using_pair(gen_rk(2), gen_rk(3), (0, 1))),
         (_reject_embeddings, lambda: embedding.is_free(gen_rk(3), gen_family(6))),
         (_reject_embeddings, lambda: embedding.is_free(gen_rk(4), [gen_j(3).graph])),
         (_reject_certificates, lambda: homomorphism.search_hom_rk(gen_rk(3), 3)),
         (_reject_certificates, lambda: homomorphism.search_hom_rk_minus(gen_rk_minus(3), 3)),
         (_reject_certificates, lambda: homomorphism.search_hom_general(gen_rk(3), gen_rk(3))),
     ],
-    ids=["find_embedding", "anchored", "compiled", "generic_member", "rk", "rk_minus", "general"],
+    ids=["find_embedding", "compiled", "generic_member", "rk", "rk_minus", "general"],
 )
 def test_rejected_result_raises(monkeypatch, reject, search):
     reject(monkeypatch)
