@@ -109,6 +109,17 @@ def _extend(
     return None
 
 
+def _dominated(pattern_counts: list[int], host_counts: list[int]) -> bool:
+    """Whether the i-th largest pattern count is at most the i-th largest
+    host count for every i.  An embedding needs this: the i pattern vertices
+    of largest count go to i distinct host vertices that carry at least as
+    much.  It rejects pigeonhole cases that _extend would only refute after
+    trying every placement."""
+    return all(
+        p <= h for p, h in zip(sorted(pattern_counts, reverse=True), sorted(host_counts, reverse=True))
+    )
+
+
 def find_embedding(pattern: ColoredGraph, host: ColoredGraph) -> Optional[Embedding]:
     """Backtracking search for a weight-dominating injection; None if absent."""
     if pattern.n > host.n:
@@ -120,6 +131,8 @@ def find_embedding(pattern: ColoredGraph, host: ColoredGraph) -> Optional[Embedd
     host_red_count = [host.red_mask(v).bit_count() for v in range(host.n)]
     pat_ge1_count = [pattern.ge1_mask(v).bit_count() for v in range(pattern.n)]
     pat_red_count = [pattern.red_mask(v).bit_count() for v in range(pattern.n)]
+    if not (_dominated(pat_ge1_count, host_ge1_count) and _dominated(pat_red_count, host_red_count)):
+        return None
     image = _extend(
         pattern, host, order, 0, {}, 0,
         host_ge1_count, host_red_count, pat_ge1_count, pat_red_count,

@@ -132,25 +132,33 @@ def _result(g: ColoredGraph, classes, nodes: int, **fields) -> HomSearchResult:
     return HomSearchResult(_checked(g, HomCertificate(classes=classes, **fields)), nodes)
 
 
+# Quotients remembered per target before its table is emptied: about 6 MiB.
+# Every quotient into a target of order 5 or less fits (3 ** 10 of them).
+_TABLE_LIMIT = 1 << 16
+
+
 @functools.lru_cache(maxsize=32)
-def _quotient_images(target: ColoredGraph) -> Optional[dict[int, Optional[tuple[int, ...]]]]:
-    """Memo of quotient -> image of its classes in the target (None when the
-    quotient does not embed), shared by every search into this target;
-    graphs are immutable.  None when every target pair is red: then every
-    quotient embeds and the search does not track it.
+def _quotient_table(target: ColoredGraph) -> Optional[dict[int, bool]]:
+    """Memo of quotient -> whether it embeds in the target, shared by every
+    search into this target; graphs are immutable.  None when every target
+    pair is red: then every quotient embeds and the search does not track it.
 
     A quotient has one vertex per target vertex (classes not yet opened are
-    isolated) and is keyed by its matrix, two bits per entry (i * k + j):
-    01 for blue, 11 for red, so that OR takes the larger weight."""
+    isolated) and is keyed by the upper triangle of its matrix, two bits per
+    entry (i * k + j for i < j): 01 for blue, 11 for red, so that OR takes
+    the larger weight."""
     k = target.n
     if all(target.red_mask(t).bit_count() == k - 1 for t in range(k)):
         return None
-    return {0: tuple(range(k))}
+    return {}
 
 
 def _quotient_image(target: ColoredGraph, q: int) -> Optional[tuple[int, ...]]:
     """Image of each class of quotient q in the target, or None when q does
-    not embed."""
+    not embed.  Into gen_rk_minus this takes at most k + 1 steps:
+    ``find_embedding`` rejects the one quotient that does not embed, the red
+    clique, by its red degrees, and places every other one without a retry,
+    because its order puts the classes red to all others first."""
     k = target.n
     weights = {}
     for i in range(k):
@@ -180,11 +188,10 @@ def _search_hom(
     n, k = g.n, target.n
     ge1 = [g.ge1_mask(v) for v in range(n)]
     red = [g.red_mask(v) for v in range(n)]
-    images = _quotient_images(target)
+    table = _quotient_table(target)
+    # low[c] keeps the fields of the classes d < c in spread (below).
+    low = [(1 << 2 * c * k) - 1 for c in range(k)]
     class_mask = [0] * k
-    # Touched classes of a vertex (two bits per class) -> the same entries
-    # in column 0 of the quotient matrix.
-    column: dict[int, int] = {}
     nodes = 0
 
     def rec(v: int, used: int, q: int) -> Optional[int]:
@@ -192,18 +199,17 @@ def _search_hom(
         if v == n:
             return q
         gv, rv = ge1[v], red[v]
-        touched = 0
-        if images is not None:
+        # The fields of v's weight to each class it touches, two bits per
+        # class d: at 2 * d in touched (row entries) and at 2 * d * k in
+        # spread (column entries).
+        touched = spread = 0
+        if table is not None:
             for d in range(used):
                 m = class_mask[d]
                 if gv & m:
-                    touched |= (3 if rv & m else 1) << 2 * d
-        if touched:
-            col = column.get(touched)
-            if col is None:
-                col = column[touched] = sum(
-                    (touched >> 2 * d & 3) << 2 * d * k for d in range(used)
-                )
+                    field = 3 if rv & m else 1
+                    touched |= field << 2 * d
+                    spread |= field << 2 * d * k
         for c in range(min(used + 1, k)):
             nodes += 1
             if nodes > budget:
@@ -212,12 +218,15 @@ def _search_hom(
                 continue
             nq = q
             if touched:
-                nq = q | touched << 2 * c * k | col << 2 * c
+                # Entries (d, c) for touched d < c and (c, d) for d > c.
+                nq = q | (spread & low[c]) << 2 * c | touched >> 2 * c << 2 * c * (k + 1)
                 if nq != q:
-                    image = images.get(nq, False)
-                    if image is False:
-                        image = images[nq] = _quotient_image(target, nq)
-                    if image is None:
+                    fits = table.get(nq)
+                    if fits is None:
+                        if len(table) >= _TABLE_LIMIT:
+                            table.clear()
+                        fits = table[nq] = _quotient_image(target, nq) is not None
+                    if not fits:
                         continue
             class_mask[c] |= 1 << v
             leaf = rec(v + 1, max(used, c + 1), nq)
@@ -229,7 +238,7 @@ def _search_hom(
     leaf = rec(0, 0, 0)
     if leaf is None:
         return None, nodes
-    image = range(k) if images is None else images[leaf]
+    image = range(k) if table is None else _quotient_image(target, leaf)
     classes = [frozenset()] * k
     for c, t in enumerate(image):
         classes[t] = frozenset(v for v in range(n) if class_mask[c] >> v & 1)

@@ -81,6 +81,20 @@ def random_graph(rng: random.Random, n: int) -> ColoredGraph:
     return ColoredGraph.from_digits(n, [rng.randrange(3) for _ in range(num_pairs(n))])
 
 
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count calls of module.name, recursive ones included, in a one-element
+    list that the caller reads after the code under test has run."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC001)

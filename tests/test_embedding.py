@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cwg import embedding
 from cwg.core import ColoredGraph, pair_list
 from cwg.constructions import (
     gen_bk,
@@ -11,6 +12,7 @@ from cwg.constructions import (
     gen_j,
     gen_odd_extremal,
     gen_rk,
+    gen_rk_minus,
 )
 from cwg.embedding import (
     common_red_neighborhood,
@@ -20,7 +22,7 @@ from cwg.embedding import (
     verify_embedding,
 )
 
-from conftest import brute_force_embeds, random_graph
+from conftest import brute_force_embeds, count_calls, random_graph
 
 
 class TestFindEmbedding:
@@ -41,6 +43,13 @@ class TestFindEmbedding:
 
     def test_pattern_larger_than_host(self):
         assert find_embedding(gen_bk(4), gen_bk(3)) is None
+
+    def test_degree_pigeonhole_is_rejected_without_search(self, monkeypatch):
+        # Two host vertices have red degree 8, so only 8 places remain for the
+        # 10 vertices of red degree 9; backtracking would try 8! placements.
+        calls = count_calls(monkeypatch, embedding, "_extend")
+        assert find_embedding(gen_rk(10), gen_rk_minus(10)) is None
+        assert calls[0] == 0
 
     def test_agrees_with_brute_force(self, rng):
         for _ in range(400):

@@ -1,5 +1,6 @@
 import pytest
 
+from cwg import embedding, homomorphism
 from cwg.core import ColoredGraph, all_graphs
 from cwg.constructions import (
     blow_up,
@@ -16,11 +17,13 @@ from cwg.homomorphism import (
     find_hom_general,
     find_hom_rk,
     find_hom_rk_minus,
+    search_hom_general,
     search_hom_rk,
+    search_hom_rk_minus,
     verify_certificate,
 )
 
-from conftest import chromatic_le, random_graph
+from conftest import chromatic_le, count_calls, random_graph
 
 
 class TestHomRk:
@@ -238,3 +241,32 @@ class TestBudget:
     def test_nodes_reported(self):
         result = search_hom_rk(gen_rk(3), 3)
         assert result.exists and result.nodes > 0
+
+
+class TestQuotientTable:
+    def test_red_clique_quotient_into_rk_minus_is_cheap(self, monkeypatch):
+        # The search opens 10 pairwise red classes; their quotient, the red
+        # clique, does not embed in rk-minus(10).  Each quotient test must take
+        # at most k + 1 = 11 steps so that the node budget bounds the search.
+        tests = count_calls(monkeypatch, homomorphism, "find_embedding")
+        steps = count_calls(monkeypatch, embedding, "_extend")
+        result = search_hom_rk_minus(gen_rk(10), 10)
+        assert not result.exists and result.nodes == 55
+        with pytest.raises(SearchBudgetExceeded):
+            search_hom_rk_minus(blow_up(gen_rk(10), [2] * 10).graph, 10, budget=2000)
+        assert tests[0] > 0 and steps[0] <= 11 * tests[0]
+
+    def test_emptying_the_table_keeps_the_answers(self, monkeypatch, rng):
+        cases = [
+            (random_graph(rng, rng.randint(2, 7)), target)
+            for target in (gen_rk_minus(3), gen_rk_minus(4), gen_bk(3), gen_rk(3).with_weight(0, 1, 0))
+            for _ in range(15)
+        ]
+        expected = [(r.exists, r.nodes) for r in (search_hom_general(g, t) for g, t in cases)]
+        monkeypatch.setattr(homomorphism, "_TABLE_LIMIT", 1)
+        homomorphism._quotient_table.cache_clear()
+        got = [(r.exists, r.nodes) for r in (search_hom_general(g, t) for g, t in cases)]
+        sizes = [len(homomorphism._quotient_table(t)) for _, t in cases[::15]]
+        homomorphism._quotient_table.cache_clear()
+        assert got == expected
+        assert sizes == [1] * 4
