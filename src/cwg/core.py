@@ -21,8 +21,7 @@ from typing import Callable, Iterator, Optional
 GREEN, BLUE, RED = 0, 1, 2
 
 RAW_ENUM_BOUND = 6        # raw mode touches 3^C(n,2) graphs
-ISO_ENUM_BOUND = 8        # canonical augmentation bound
-CANON_BOUND = 8           # default bound for canonical_form
+ISO_ENUM_BOUND = 8        # canonical augmentation and canonical_form bound
 
 _PAIR_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
 _POS_CACHE: dict[int, dict[tuple[int, int], int]] = {}
@@ -329,7 +328,7 @@ def _min_relabelling(g: ColoredGraph):
     return best, argmins
 
 
-def canonical_form(g: ColoredGraph, bound: int = CANON_BOUND) -> CanonicalForm:
+def canonical_form(g: ColoredGraph, bound: int = ISO_ENUM_BOUND) -> CanonicalForm:
     """Full-permutation minimization; feasible for the enumeration scale."""
     if g.n > bound:
         raise ValueError("canonical_form bound %d exceeded (n=%d)" % (bound, g.n))
@@ -337,7 +336,7 @@ def canonical_form(g: ColoredGraph, bound: int = CANON_BOUND) -> CanonicalForm:
     return CanonicalForm(g.n, "".join(str(d) for d in best))
 
 
-def canonicalized(g: ColoredGraph, bound: int = CANON_BOUND) -> ColoredGraph:
+def canonicalized(g: ColoredGraph, bound: int = ISO_ENUM_BOUND) -> ColoredGraph:
     """The canonically relabelled copy of g."""
     if g.n > bound:
         raise ValueError("canonical bound %d exceeded (n=%d)" % (bound, g.n))

@@ -1,13 +1,18 @@
 """Exhaustive and branch-and-bound search engines.
 
 Raw verification and the threshold probe sweep all 3^C(n,2) labelled
-graphs with one scan loop, ``_scan_raw``.  It runs vectorized over numpy
-chunks of the base-3 code space: degrees first (the minimum-degree cutoff
-removes the vast majority), then family-freeness compiled to boolean pair
-conditions.  Survivors get the homomorphism conclusion checked one by one,
-and any counterexample is re-verified through the independent
-embedding/homomorphism modules and greedily weight-minimized before it is
-reported.
+graphs with one scan loop, ``_scan_raw``.  It splits each base-3 code into
+low digits, read from a cached table of all their settings, and high
+digits, fixed on each aligned block of codes.  A block is skipped whole
+when the fixed digits already rule out the minimum-degree cutoff or
+contain a family member; otherwise the degree filter and the
+family-freeness conditions (compiled to boolean pair conditions) run
+vectorized over the block's low digits.  Survivors get the homomorphism
+conclusion checked one by one, and any counterexample is re-verified
+through the independent embedding/homomorphism modules and greedily
+weight-minimized before it is reported.  The threshold probe rescans once
+per degree, from the top down, and stops at the first degree with a graph
+that has no homomorphism.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ EX_BOUND = 8
 _CHUNK = 3 ** 11
 # One record per scanned graph that survives the filters.
 _RECORD = np.dtype([("code", np.int64), ("mindeg", np.uint8)])
+# Low-digit tables of the raw scan, keyed by (n, number of low digits).
+_LOW_TABLES: dict[tuple[int, int], tuple] = {}
 
 
 @dataclass
@@ -116,6 +123,28 @@ def _compile_conditions(n: int, family: list[ColoredGraph]):
     return conditions
 
 
+def _low_table(n: int, low: int):
+    """Tables over the 3^low settings of the low digits (pairs 0..low-1):
+    per-vertex degree rows, nonzero rows, red rows, and each vertex's
+    largest low degree.  Built on first use and cached per (n, low)."""
+    key = (n, low)
+    if key not in _LOW_TABLES:
+        rem = np.arange(3 ** low, dtype=np.int64)
+        digits = np.empty((low, rem.size), dtype=np.uint8)
+        for p in range(low):
+            digits[p] = rem % 3
+            rem //= 3
+        degs = np.zeros((n, rem.size), dtype=np.uint8)
+        for p, (x, y) in enumerate(pair_list(n)[:low]):
+            degs[x] += digits[p]
+            degs[y] += digits[p]
+        tables = (degs, digits >= 1, digits == 2)
+        for table in tables:
+            table.setflags(write=False)
+        _LOW_TABLES[key] = tables + (degs.max(axis=1).tolist(),)
+    return _LOW_TABLES[key]
+
+
 def _scan_raw(
     n: int,
     cutoff: int,
@@ -127,45 +156,90 @@ def _scan_raw(
     """Yield, per chunk of [lo, hi), a record array (fields ``code`` and
     ``mindeg``) of the graphs with minimum degree >= cutoff that, when
     conditions are given, contain no compiled member.  Chunks without a
-    degree survivor yield nothing."""
+    record yield nothing.
+
+    A code splits into L low digits, L the largest with 3^L <= chunk, and
+    C(n,2) - L high digits, which are fixed on each aligned block of 3^L
+    codes.  The low digits come from a cached table; the high ones are
+    decoded once per block, which is skipped whole when a vertex cannot
+    reach the cutoff or a condition holds on the fixed digits alone.
+    Otherwise only the conditions the fixed digits allow are tested, on the
+    low digits of the degree survivors."""
     m = num_pairs(n)
-    pairs = pair_list(n)
+    low = 0
+    while low < m and 3 ** (low + 1) <= chunk:
+        low += 1
+    size = 3 ** low
+    low_degs, low_ge1, low_red, low_max = _low_table(n, low)
+    high_pairs = pair_list(n)[low:]
+    if conditions is not None:
+        # Per condition: bitmasks over the high digits that must be red and
+        # nonzero, and the pair positions it needs among the low digits.
+        def high_mask(positions):
+            return sum(1 << (p - low) for p in positions if p >= low)
+
+        cond_red = np.array([high_mask(red) for red, _ in conditions], dtype=np.int64)
+        cond_ge1 = np.array([high_mask(ge1) for _, ge1 in conditions], dtype=np.int64)
+        cond_low = [
+            (tuple(p for p in red if p < low), tuple(p for p in ge1 if p < low))
+            for red, ge1 in conditions
+        ]
+        high_only = np.array([not (r or g) for r, g in cond_low], dtype=bool)
+
     for start in range(lo, hi, chunk):
         stop = min(start + chunk, hi)
-        rem = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((m, stop - start), dtype=np.uint8)
-        for p in range(m):
-            digits[p] = rem % 3
-            rem //= 3
-        degs = np.zeros((n, stop - start), dtype=np.uint8)
-        for p, (x, y) in enumerate(pairs):
-            degs[x] += digits[p]
-            degs[y] += digits[p]
-        mindeg = degs.min(axis=0)
-        idx = np.flatnonzero(mindeg >= cutoff)
-        if idx.size == 0:
-            continue
-        if conditions is not None:
-            # take() keeps the rows contiguous; fancy indexing on the second
-            # axis would return a column-major copy, several times slower to
-            # test row by row.
-            sub = digits.take(idx, axis=1)
-            ge1 = sub >= 1
-            red = sub == 2
-            bad = np.zeros(idx.size, dtype=bool)
-            for red_positions, ge1_positions in conditions:
-                cond = None
-                for p in red_positions:
-                    cond = red[p] if cond is None else (cond & red[p])
-                for p in ge1_positions:
-                    cond = ge1[p] if cond is None else (cond & ge1[p])
-                if cond is not None:
+        found = []
+        seg = start
+        while seg < stop:
+            base = seg - seg % size
+            seg_stop = min(stop, base + size)
+            a, b, seg = seg - base, seg_stop - base, seg_stop
+            fixed = [0] * n
+            red_bits = ge1_bits = 0
+            rest = base // size
+            for j, (x, y) in enumerate(high_pairs):
+                rest, d = divmod(rest, 3)
+                if d:
+                    fixed[x] += d
+                    fixed[y] += d
+                    ge1_bits |= 1 << j
+                    if d == 2:
+                        red_bits |= 1 << j
+            if any(f + top < cutoff for f, top in zip(fixed, low_max)):
+                continue
+            tests = ()
+            if conditions is not None:
+                live = np.flatnonzero(
+                    ((cond_red & ~red_bits) | (cond_ge1 & ~ge1_bits)) == 0
+                )
+                if high_only[live].any():
+                    continue
+                tests = {cond_low[i] for i in live.tolist()}
+            degs = low_degs[:, a:b] + np.array(fixed, dtype=np.uint8)[:, None]
+            mindeg = degs.min(axis=0)
+            idx = np.flatnonzero(mindeg >= cutoff)
+            if idx.size and tests:
+                # take() keeps the rows contiguous; fancy indexing on the
+                # second axis would return a column-major copy, several times
+                # slower to test row by row.
+                ge1 = low_ge1.take(idx + a, axis=1)
+                red = low_red.take(idx + a, axis=1)
+                bad = np.zeros(idx.size, dtype=bool)
+                for red_positions, ge1_positions in tests:
+                    cond = None
+                    for p in red_positions:
+                        cond = red[p] if cond is None else (cond & red[p])
+                    for p in ge1_positions:
+                        cond = ge1[p] if cond is None else (cond & ge1[p])
                     bad |= cond
-            idx = idx[~bad]
-        block = np.empty(idx.size, dtype=_RECORD)
-        block["code"] = start + idx
-        block["mindeg"] = mindeg[idx]
-        yield block
+                idx = idx[~bad]
+            if idx.size:
+                records = np.empty(idx.size, dtype=_RECORD)
+                records["code"] = base + a + idx
+                records["mindeg"] = mindeg[idx]
+                found.append(records)
+        if found:
+            yield found[0] if len(found) == 1 else np.concatenate(found)
 
 
 # -- theorem verification -----------------------------------------------------
@@ -241,6 +315,8 @@ def _verify_worker(args) -> tuple[int, int, Optional[int]]:
 def _verify_theorem(kind: str, r: int, n: int, mode: str, threads: Optional[int]) -> SearchReport:
     if n < 1:
         raise ValueError("need n >= 1")
+    if threads is not None and threads < 1:
+        raise ValueError("need threads >= 1 (got %d)" % threads)
     family, threshold, hom = _theorem_setup(kind, r)
     t_param = 2 * r + 1 if kind == "odd" else 2 * r
     cutoff = threshold.cutoff(n)
@@ -438,15 +514,19 @@ def empirical_threshold(n: int, r: int, kind: str) -> SearchReport:
         raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_ENUM_BOUND, n))
     t0 = time.perf_counter()
     total = 3 ** num_pairs(n)
-    # Every family-free graph with its minimum degree, in code order.  The
-    # blocks are kept apart: concatenating them would double the peak memory.
-    blocks = list(_scan_raw(n, 0, _compile_conditions(n, family), 0, total))
+    conditions = _compile_conditions(n, family)
 
+    # From the top degree down, rescanning at each cutoff d and checking the
+    # free graphs of minimum degree exactly d in code order; the higher ones
+    # were checked at an earlier cutoff.
     value = None
     witness = None
     checked = 0
     for d in range(2 * (n - 1), -1, -1):
-        codes = (b["code"][b["mindeg"] == d].tolist() for b in blocks)
+        codes = (
+            b["code"][b["mindeg"] == d].tolist()
+            for b in _scan_raw(n, d, conditions, 0, total)
+        )
         for code in itertools.chain.from_iterable(codes):
             g = graph_from_code(n, code)
             checked += 1

@@ -202,6 +202,14 @@ class TestVerify:
         assert payload["outcome"] == "verified"
         validate(schema, payload)
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, capsys, threads):
+        argv = ["verify", "--theorem", "odd", "--r", "2", "--n", "3", "--threads", threads]
+        assert main(argv + ["--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "need threads >= 1" in err
+
 
 class TestEx:
     def test_value(self, capsys, schema):

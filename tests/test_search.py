@@ -256,6 +256,50 @@ class TestScanRaw:
             assert whole
             assert self.records(4, cutoff, cond, 5, 700, chunk=7) == whole
 
+    @staticmethod
+    def reference(n, lo, hi):
+        """Per code of [lo, hi): its minimum degree and, per family
+        parameter, whether the generic backtracker finds it free."""
+        rows = []
+        for code in range(lo, hi):
+            g = graph_from_code(n, code)
+            free = {t: _reference_is_free(g, gen_family(t)) for t in (5, 6, 7)}
+            rows.append((code, min_degree(g), free))
+        return rows
+
+    def check_window(self, n, lo, hi, cutoffs, chunk):
+        rows = self.reference(n, lo, hi)
+        for t in (None, 5, 6, 7):
+            conditions = None if t is None else _compile_conditions(n, gen_family(t))
+            for cutoff in cutoffs:
+                expected = [
+                    (code, d)
+                    for code, d, free in rows
+                    if d >= cutoff and (t is None or free[t])
+                ]
+                assert self.records(n, cutoff, conditions, lo, hi, chunk=chunk) == expected
+
+    def test_high_low_split_n5(self):
+        # chunk 81 splits an order-5 code into 4 low digits, the pairs at
+        # vertex 0, and 6 high digits, fixed on each aligned block of 81.
+        size = 81
+        lo, hi = 61 * size + 9, 64 * size + 16
+        # Block 62 fixes a red triangle on {1, 2, 3} and leaves pair (1, 4)
+        # empty: F:5 and F:6 hold on its fixed digits alone, and vertex 1
+        # stays below degree 7 throughout.
+        block = [graph_from_code(5, c) for c in range(62 * size, 63 * size)]
+        assert all(
+            g.weight(1, 2) == g.weight(1, 3) == g.weight(2, 3) == 2 for g in block
+        )
+        assert max(g.degrees()[1] for g in block) == 6
+        self.check_window(5, lo, hi, range(9), chunk=size)
+        assert self.records(5, 0, _compile_conditions(5, gen_family(6)), lo, hi, chunk=size)
+
+    def test_chunk_straddles_a_block_boundary_n6(self):
+        # The default chunk, 3^11 codes, makes blocks of 3^11 as well.
+        boundary = 3 ** 11
+        self.check_window(6, boundary - 517, boundary + 483, range(6), chunk=boundary)
+
     def test_yields_one_record_array_per_chunk(self):
         blocks = list(_scan_raw(3, 0, None, 0, 27, chunk=10))
         assert [len(b) for b in blocks] == [10, 10, 7]
@@ -363,6 +407,21 @@ class TestEmpiricalThreshold:
         # equals floor((18/16)*6).
         rep = empirical_threshold(6, 3, "even")
         assert rep.value == 6
+
+    @pytest.mark.parametrize(
+        "kind, r, expected",
+        [
+            ("even", 3, (6, "011221122202200", 9)),
+            ("odd", 3, (7, "012221222122110", 16)),
+            ("odd", 2, (4, "002222022200000", 342)),
+        ],
+    )
+    def test_n6_walk_order(self, kind, r, expected):
+        # Degrees are walked from the top down and each degree class in code
+        # order, so the witness and the number of graphs checked are fixed.
+        rep = empirical_threshold(6, r, kind)
+        got = (rep.value, rep.witness.upper_string(), rep.statistics["free_graphs_checked"])
+        assert got == expected
 
     def test_no_qualifying_graph(self):
         # Everything on two vertices maps into the red clique.
