@@ -71,6 +71,8 @@ def extremal_completion(
         raise ValueError("input graph is not family-free (member %d embeds)" % witness[0])
     if policy not in ("lex", "random"):
         raise ValueError("unknown completion policy %r" % (policy,))
+    if policy == "random" and seed is None:
+        raise ValueError("the random completion policy needs a seed (--seed)")
     rng = random.Random(seed) if policy == "random" else None
     pairs = list(pair_list(g.n))
     changed = True

@@ -297,8 +297,10 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.threads != 1:
+        raise UsageError("verify scans in one process; --threads accepts only 1")
     fn = verify_theorem_odd if args.theorem == "odd" else verify_theorem_even
-    report = fn(args.r, args.n, mode=args.mode, threads=args.threads)
+    report = fn(args.r, args.n, mode=args.mode)
     _emit(
         report.to_json_dict(),
         "verify",
@@ -407,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["raw", "iso"], default="raw")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -7,18 +7,17 @@ digits, fixed on each aligned block of codes.  A block is skipped whole
 when the fixed digits already rule out the minimum-degree cutoff or
 contain a family member; otherwise the degree filter and the
 family-freeness conditions (compiled to boolean pair conditions) run
-vectorized over the block's low digits.  Survivors get the homomorphism
-conclusion checked one by one, and any counterexample is re-verified
-through the independent embedding/homomorphism modules and greedily
-weight-minimized before it is reported.  The threshold probe rescans once
-per degree, from the top down, and stops at the first degree with a graph
-that has no homomorphism.
+vectorized over the block's low digits.  Raw verify, iso verify and each
+degree of the threshold probe (rescanned from the top degree down) share
+one walk in one process, ``_first_without_hom``.  A counterexample or
+threshold witness is re-verified through the independent
+embedding/homomorphism modules, and a counterexample is greedily
+weight-minimized before it is reported.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -297,26 +296,36 @@ def _minimize_counterexample(g, family, threshold, hom) -> ColoredGraph:
     return g
 
 
-def _verify_worker(args) -> tuple[int, int, Optional[int]]:
-    """Scan [lo, hi); returns (codes scanned, hypothesis passes, first
-    counterexample code or None).  Module-level for multiprocessing."""
-    kind, r, n, cutoff, lo, hi = args
-    family, threshold, hom = _theorem_setup(kind, r)
-    conditions = _compile_conditions(n, family)
-    passed = 0
-    for block in _scan_raw(n, cutoff, conditions, lo, hi):
-        for code in block["code"].tolist():
-            passed += 1
-            if hom(graph_from_code(n, code)) is None:
-                return code + 1 - lo, passed, code
-    return hi - lo, passed, None
-
-
-def _verify_theorem(kind: str, r: int, n: int, mode: str, threads: Optional[int]) -> SearchReport:
+def _raw_total(n: int) -> int:
+    """The raw scan's code count 3^C(n,2), for 1 <= n <= RAW_ENUM_BOUND."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if threads is not None and threads < 1:
-        raise ValueError("need threads >= 1 (got %d)" % threads)
+    if n > RAW_ENUM_BOUND:
+        raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_ENUM_BOUND, n))
+    return 3 ** num_pairs(n)
+
+
+def _raw_graphs(n: int, cutoff: int, conditions, exact: bool = False) -> Iterable[ColoredGraph]:
+    """In code order, the order-n graphs of the raw scan: minimum degree at
+    least (with ``exact``: equal to) cutoff, and no compiled condition."""
+    for block in _scan_raw(n, cutoff, conditions, 0, 3 ** num_pairs(n)):
+        codes = block["code"][block["mindeg"] == cutoff] if exact else block["code"]
+        for code in codes.tolist():
+            yield graph_from_code(n, code)
+
+
+def _first_without_hom(graphs: Iterable[ColoredGraph], hom) -> tuple[int, Optional[ColoredGraph]]:
+    """(graphs checked, first graph with no homomorphism or None)."""
+    checked = 0
+    for checked, g in enumerate(graphs, 1):
+        if hom(g) is None:
+            return checked, g
+    return checked, None
+
+
+def _verify_theorem(kind: str, r: int, n: int, mode: str) -> SearchReport:
+    if n < 1:
+        raise ValueError("need n >= 1")
     family, threshold, hom = _theorem_setup(kind, r)
     t_param = 2 * r + 1 if kind == "odd" else 2 * r
     cutoff = threshold.cutoff(n)
@@ -328,55 +337,19 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str, threads: Optional[int]
         "mode": mode,
         "threshold": str(threshold),
         "cutoff": cutoff,
-        "threads": threads or 1,
     }
 
-    enumerated = 0
-    passed = 0
-    ce_code: Optional[int] = None
-
     if mode == "raw":
-        if n > RAW_ENUM_BOUND:
-            raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_ENUM_BOUND, n))
-        total = 3 ** num_pairs(n)
-        nthreads = threads if threads is not None else (os.cpu_count() or 1)
-        parameters["threads"] = nthreads
-        if nthreads > 1:
-            import multiprocessing
-
-            shard = max(_CHUNK, -(-total // (nthreads * 4)))
-            tasks = [
-                (kind, r, n, cutoff, lo, min(lo + shard, total))
-                for lo in range(0, total, shard)
-            ]
-            with multiprocessing.Pool(nthreads) as pool:
-                for scanned, p, code in pool.imap(_verify_worker, tasks):
-                    enumerated += scanned
-                    passed += p
-                    if code is not None:
-                        ce_code = code
-                        pool.terminate()
-                        break
-        else:
-            enumerated, passed, ce_code = _verify_worker((kind, r, n, cutoff, 0, total))
-    elif mode in ("iso", "isomorph_free"):
+        total = _raw_total(n)
+        graphs = _raw_graphs(n, cutoff, _compile_conditions(n, family))
+        passed, g = _first_without_hom(graphs, hom)
+        enumerated = total if g is None else code_of_graph(g) + 1
+    elif mode == "iso":
+        classes: list[ColoredGraph] = []
+        enumerated = enumerate_graphs(n, "isomorph_free", classes.append).count
         checker = FamilyChecker(family)
-        found: list[ColoredGraph] = []
-
-        def visit(g: ColoredGraph) -> None:
-            nonlocal passed
-            if found or min_degree(g) < cutoff:
-                return
-            if not checker.is_free_graph(g):
-                return
-            passed += 1
-            if hom(g) is None:
-                found.append(g)
-
-        stats = enumerate_graphs(n, "isomorph_free", visit)
-        enumerated = stats.count
-        if found:
-            ce_code = code_of_graph(found[0])
+        graphs = (c for c in classes if min_degree(c) >= cutoff and checker.is_free_graph(c))
+        passed, g = _first_without_hom(graphs, hom)
     else:
         raise ValueError("unknown verification mode %r" % (mode,))
 
@@ -385,14 +358,13 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str, threads: Optional[int]
         "hypothesis_passed": passed,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
-    if ce_code is None:
+    if g is None:
         return SearchReport(
             kind="theorem_verify",
             parameters=parameters,
             outcome="verified",
             statistics=statistics,
         )
-    g = graph_from_code(n, ce_code)
     _recheck_counterexample(g, family, threshold, hom)
     g = _minimize_counterexample(g, family, threshold, hom)
     _recheck_counterexample(g, family, threshold, hom)
@@ -410,21 +382,17 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str, threads: Optional[int]
     )
 
 
-def verify_theorem_odd(
-    r: int, n: int, mode: str = "raw", threads: Optional[int] = None
-) -> SearchReport:
+def verify_theorem_odd(r: int, n: int, mode: str = "raw") -> SearchReport:
     """Check every raw (or isomorph-free) graph of order n: family-free with
     minimum degree strictly above (6r-8)/(3r-1)*n must map into the red
     r-clique."""
-    return _verify_theorem("odd", r, n, mode, threads)
+    return _verify_theorem("odd", r, n, mode)
 
 
-def verify_theorem_even(
-    r: int, n: int, mode: str = "raw", threads: Optional[int] = None
-) -> SearchReport:
+def verify_theorem_even(r: int, n: int, mode: str = "raw") -> SearchReport:
     """Even-family variant: threshold (14r-24)/(7r-5), target the red
     r-clique with one blue pair."""
-    return _verify_theorem("even", r, n, mode, threads)
+    return _verify_theorem("even", r, n, mode)
 
 
 # -- extremal numbers ---------------------------------------------------------
@@ -508,34 +476,27 @@ def empirical_threshold(n: int, r: int, kind: str) -> SearchReport:
     the exact rational bound next to the observed value.
     """
     family, threshold, hom = _theorem_setup(kind, r)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > RAW_ENUM_BOUND:
-        raise ValueError("raw enumeration bound %d exceeded (n=%d)" % (RAW_ENUM_BOUND, n))
+    total = _raw_total(n)
     t0 = time.perf_counter()
-    total = 3 ** num_pairs(n)
     conditions = _compile_conditions(n, family)
 
     # From the top degree down, rescanning at each cutoff d and checking the
     # free graphs of minimum degree exactly d in code order; the higher ones
     # were checked at an earlier cutoff.
-    value = None
-    witness = None
+    value = witness = None
     checked = 0
     for d in range(2 * (n - 1), -1, -1):
-        codes = (
-            b["code"][b["mindeg"] == d].tolist()
-            for b in _scan_raw(n, d, conditions, 0, total)
-        )
-        for code in itertools.chain.from_iterable(codes):
-            g = graph_from_code(n, code)
-            checked += 1
-            if hom(g) is None:
-                value = d
-                witness = g
-                break
-        if value is not None:
+        count, witness = _first_without_hom(_raw_graphs(n, d, conditions, exact=True), hom)
+        checked += count
+        if witness is not None:
+            value = d
             break
+    if witness is not None and not (
+        _reference_is_free(witness, family)
+        and min_degree(witness) == value
+        and hom(witness) is None
+    ):
+        raise SelfCheckError("threshold witness failed independent re-check")
 
     t_param = 2 * r + 1 if kind == "odd" else 2 * r
     return SearchReport(

@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from cwg.cli import main
-from cwg.core import parse_cwg, read_cwg, to_cwg, write_cwg
+from cwg.core import ColoredGraph, parse_cwg, read_cwg, to_cwg, write_cwg
 from cwg.constructions import gen_even_extremal, gen_j, gen_rk, gen_rk_minus
 
 
@@ -202,13 +202,22 @@ class TestVerify:
         assert payload["outcome"] == "verified"
         validate(schema, payload)
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "2"])
     def test_threads_below_one_is_a_usage_error(self, capsys, threads):
         argv = ["verify", "--theorem", "odd", "--r", "2", "--n", "3", "--threads", threads]
         assert main(argv + ["--json"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "need threads >= 1" in err
+        assert "verify scans in one process; --threads accepts only 1" in err
+
+    def test_single_thread_flag_is_accepted(self, capsys, schema):
+        code, payload = run_json(
+            capsys,
+            ["verify", "--theorem", "odd", "--r", "2", "--n", "4", "--threads", "1", "--json"],
+        )
+        assert code == 0
+        assert payload["outcome"] == "verified"
+        validate(schema, payload)
 
 
 class TestEx:
@@ -286,9 +295,23 @@ class TestErrorsAndDeterminism:
     def test_byte_identical_repeat(self, tmp_path, capsys):
         path = tmp_path / "g.cwg"
         write_cwg(path, gen_even_extremal(3, 1).graph)
-        argv = ["hom", "--target", "rkminus:3", str(path), "--json"]
-        main(argv)
-        first = capsys.readouterr().out
-        main(argv)
-        second = capsys.readouterr().out
-        assert first == second
+        green = tmp_path / "green.cwg"
+        write_cwg(green, ColoredGraph.uniform(10, 0))
+        for argv in (
+            ["hom", "--target", "rkminus:3", str(path), "--json"],
+            ["complete", "--family", "F:6", "--policy", "random", "--seed", "3", str(green), "--json"],
+        ):
+            assert main(argv) == 0
+            first = capsys.readouterr().out
+            assert main(argv) == 0
+            second = capsys.readouterr().out
+            assert first == second
+
+    def test_unseeded_random_completion_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "green.cwg"
+        write_cwg(path, ColoredGraph.uniform(10, 0))
+        argv = ["complete", "--family", "F:6", "--policy", "random", str(path), "--json"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed" in err

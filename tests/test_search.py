@@ -25,6 +25,7 @@ from cwg.search import (
     SearchReport,
     _compile_conditions,
     _minimize_counterexample,
+    _raw_graphs,
     _recheck_counterexample,
     _reference_is_free,
     _scan_raw,
@@ -115,14 +116,6 @@ class TestVerifyTheorems:
         assert raw.outcome == iso.outcome == "verified"
         assert iso.statistics["enumerated"] == 792
 
-    def test_threads_agree(self):
-        seq = verify_theorem_odd(2, 4, threads=1)
-        par = verify_theorem_odd(2, 4, threads=2)
-        assert seq.outcome == par.outcome == "verified"
-        assert (
-            seq.statistics["hypothesis_passed"] == par.statistics["hypothesis_passed"]
-        )
-
     def test_bounds(self):
         with pytest.raises(ValueError):
             verify_theorem_even(3, 16)
@@ -154,10 +147,14 @@ class TestVerifyTheorems:
             return fam, Threshold(3, 5), hom
 
         monkeypatch.setattr(search_module, "_theorem_setup", weakened)
-        raw = search_module._verify_theorem("odd", 2, 5, "raw", 1)
-        iso = search_module._verify_theorem("odd", 2, 5, "iso", 1)
+        raw = search_module._verify_theorem("odd", 2, 5, "raw")
+        iso = search_module._verify_theorem("odd", 2, 5, "iso")
         assert raw.outcome == iso.outcome == "counterexample"
         assert raw.counterexample == iso.counterexample
+        # The raw scan stops at the first counterexample (already minimal
+        # here); iso mode enumerates every class.
+        assert raw.statistics["enumerated"] == code_of_graph(raw.counterexample) + 1
+        assert iso.statistics["enumerated"] == 792
         g = raw.counterexample
         assert is_free(g, gen_family(5))[0]
         assert Threshold(3, 5).exceeds(min_degree(g), g.n)
@@ -234,20 +231,31 @@ class TestScanRaw:
     def records(*args, **kwargs):
         return [(int(c), int(d)) for b in _scan_raw(*args, **kwargs) for c, d in b.tolist()]
 
-    def test_matches_brute_force_n4(self):
+    @pytest.mark.parametrize("walk", ["records", "graphs", "graphs_exact"])
+    def test_matches_brute_force_n4(self, walk):
+        # The scan's records, and the graphs _raw_graphs yields from them
+        # with minimum degree at least (exact: equal to) the cutoff.
         n = 4
-        for fam in (None, gen_family(5), gen_family(6)):
+        for fam in (None, gen_family(5), gen_family(6), gen_family(7)):
             conditions = None if fam is None else _compile_conditions(n, fam)
-            for cutoff in (0, 3):
-                expected = [
-                    (code, min_degree(g))
-                    for code, g in enumerate(all_graphs(n))
-                    if min_degree(g) >= cutoff and (fam is None or brute_force_is_free(g, fam))
-                ]
-                got = self.records(n, cutoff, conditions, 0, 3 ** num_pairs(n))
+            rows = [
+                (code, g, min_degree(g))
+                for code, g in enumerate(all_graphs(n))
+                if fam is None or brute_force_is_free(g, fam)
+            ]
+            for cutoff in range(7):
+                if walk == "records":
+                    expected = [(code, d) for code, _g, d in rows if d >= cutoff]
+                    got = self.records(n, cutoff, conditions, 0, 3 ** num_pairs(n))
+                    for code, mindeg in got:
+                        assert mindeg == min_degree(graph_from_code(n, code))
+                else:
+                    exact = walk == "graphs_exact"
+                    expected = [
+                        g for _code, g, d in rows if (d == cutoff if exact else d >= cutoff)
+                    ]
+                    got = list(_raw_graphs(n, cutoff, conditions, exact=exact))
                 assert got == expected
-                for code, mindeg in got:
-                    assert mindeg == min_degree(graph_from_code(n, code))
 
     def test_unaligned_small_chunks(self):
         conditions = _compile_conditions(4, gen_family(5))

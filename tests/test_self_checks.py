@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import cwg
-from cwg import SelfCheckError, embedding, homomorphism
+from cwg import SelfCheckError, embedding, homomorphism, search
 from cwg.constructions import gen_family, gen_j, gen_rk, gen_rk_minus
 
 
@@ -37,6 +37,12 @@ def test_rejected_result_raises(monkeypatch, reject, search):
     reject(monkeypatch)
     with pytest.raises(SelfCheckError):
         search()
+
+
+def test_threshold_witness_is_rechecked(monkeypatch):
+    monkeypatch.setattr(search, "_reference_is_free", lambda g, family: False)
+    with pytest.raises(SelfCheckError, match="threshold witness"):
+        search.empirical_threshold(4, 2, "odd")
 
 
 def test_checks_survive_optimize_flag():
