@@ -9,6 +9,15 @@ This module provides the graph type itself, exact rational degree thresholds
 (all comparisons are integer arithmetic, never floats), lexicographic
 canonical forms, raw and isomorph-free enumeration, and the ``.cwg`` file
 format.
+
+The canonical form is the least upper-triangle string over all relabellings.
+It is found one row at a time by individualisation and refinement in the
+style of McKay and Piperno ("Practical graph isomorphism II", J. Symbolic
+Comput. 60 (2014)): place a vertex of the first cell, split every cell by
+weight to it, and keep every branch whose row is least.  Unlike their search
+for some canonical labelling, every tying branch is kept, so the form is the
+exact lexicographic minimum and the surviving labellings are the
+automorphisms.
 """
 
 from __future__ import annotations
@@ -309,39 +318,88 @@ class CanonicalForm:
     code: str
 
 
+# _RUNS[k] is the digit string 1...1 of length k, packed two bits per digit.
+_RUNS = tuple((4 ** k - 1) // 3 for k in range(ColoredGraph.MAX_ORDER))
+
+
 def _min_relabelling(g: ColoredGraph):
-    """Return (minimal digit tuple, list of permutations achieving it)."""
+    """Return (minimal digit tuple, list of permutations achieving it).
+
+    The permutations come in lexicographic order; they are the perms with
+    g.permuted(perm) carrying the minimal digits, so their count is |Aut(g)|.
+    """
     n = g.n
     if n <= 1:
         return (), [tuple(range(n))]
-    m = g.matrix()
-    pairs = pair_list(n)
-    best = None
-    argmins: list[tuple[int, ...]] = []
-    for perm in itertools.permutations(range(n)):
-        cand = tuple(m[perm[x]][perm[y]] for x, y in pairs)
-        if best is None or cand < best:
-            best = cand
-            argmins = [perm]
-        elif cand == best:
-            argmins.append(perm)
-    return best, argmins
+    ge1, red = g._ge1, g._red
+    # Row i of the string is the weights from position i to positions
+    # i+1..n-1.  A frontier node is (prefix, first, cells): the vertices at
+    # positions 0..i-1, then the open vertices as bitmask cells in position
+    # order, each holding the vertices with equal weights to the whole
+    # prefix.  Any order inside a cell keeps rows 0..i-1, so row i is least
+    # when the vertex v at position i comes from the first cell and each cell
+    # lists its weights to v sorted: a run 0..0 1..1 2..2, which packs to
+    # _RUNS[#weights >= 1] + _RUNS[#weights 2].  All nodes tie on rows
+    # 0..i-1, so their cell sizes agree and the packed rows have one width.
+    # Keeping every (node, v) with the least row therefore drops no minimal
+    # relabelling and keeps no other: the leaves are exactly the argmins.
+    frontier = [((), (1 << n) - 1, ())]
+    code = 0
+    for i in range(n - 1):
+        best = None
+        survivors = []
+        for prefix, first, cells in frontier:
+            rest = first
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                a, r = ge1[v], red[v]
+                c = first ^ low
+                row = _RUNS[(c & a).bit_count()] + _RUNS[(c & r).bit_count()]
+                for c in cells:
+                    run = _RUNS[(c & a).bit_count()] + _RUNS[(c & r).bit_count()]
+                    row = (row << 2 * c.bit_count()) | run
+                if best is None or row < best:
+                    best = row
+                    survivors = [(prefix + (v,), (first ^ low,) + cells, a, r)]
+                elif row == best:
+                    survivors.append((prefix + (v,), (first ^ low,) + cells, a, r))
+        code = (code << 2 * (n - 1 - i)) | best
+        # Split each cell by weight to v: 0, then 1, then 2.
+        frontier = []
+        for prefix, opened, a, r in survivors:
+            split = [s for c in opened for s in (c & ~a, c & a & ~r, c & r) if s]
+            frontier.append((prefix, split[0], tuple(split[1:])))
+    # After row n-2 every node has one open vertex left.
+    argmins = [prefix + (first.bit_length() - 1,) for prefix, first, _ in frontier]
+    m = num_pairs(n)
+    return tuple(code >> 2 * j & 3 for j in range(m - 1, -1, -1)), argmins
 
 
 def canonical_form(g: ColoredGraph, bound: int = ISO_ENUM_BOUND) -> CanonicalForm:
-    """Full-permutation minimization; feasible for the enumeration scale."""
+    """The lexicographically minimal digits over all relabellings, found by
+    the row-by-row cell search of ``_min_relabelling``."""
     if g.n > bound:
         raise ValueError("canonical_form bound %d exceeded (n=%d)" % (bound, g.n))
     best, _ = _min_relabelling(g)
     return CanonicalForm(g.n, "".join(str(d) for d in best))
 
 
+def _relabelled(g: ColoredGraph, best: tuple[int, ...], perm) -> ColoredGraph:
+    """g.permuted(perm), re-checked to carry the digits best."""
+    c = g.permuted(perm)
+    if c.digits() != best:
+        raise SelfCheckError("canonical relabelling does not give the canonical digits")
+    return c
+
+
 def canonicalized(g: ColoredGraph, bound: int = ISO_ENUM_BOUND) -> ColoredGraph:
     """The canonically relabelled copy of g."""
     if g.n > bound:
         raise ValueError("canonical bound %d exceeded (n=%d)" % (bound, g.n))
-    best, _ = _min_relabelling(g)
-    return ColoredGraph.from_digits(g.n, best)
+    best, argmins = _min_relabelling(g)
+    return _relabelled(g, best, argmins[0])
 
 
 # -- enumeration -------------------------------------------------------------
@@ -379,18 +437,20 @@ def _enumerate_isomorph_free(n: int, visitor) -> int:
         return 1
     level: list[ColoredGraph] = [ColoredGraph(1, 0)]
     for k in range(2, n + 1):
+        # The new vertex is k-1; its pair with x sits at the end of row x.
+        pos = pair_pos(k)
+        ext_bits = [
+            sum(w << 2 * pos[(x, k - 1)] for x, w in enumerate(ext))
+            for ext in itertools.product((0, 1, 2), repeat=k - 1)
+        ]
         nxt: list[ColoredGraph] = []
         for parent in level:
             seen: set[tuple[int, ...]] = set()
-            base_digits = parent.digits()
-            for ext in itertools.product((0, 1, 2), repeat=k - 1):
-                # New vertex is index k-1; its pairs sit at the end of each row.
-                digits = []
-                it = iter(base_digits)
-                for x in range(k - 1):
-                    digits.extend(itertools.islice(it, k - 2 - x))
-                    digits.append(ext[x])
-                child = ColoredGraph.from_digits(k, digits)
+            base = 0
+            for p, pair in enumerate(pair_list(k - 1)):
+                base |= (parent.bits >> 2 * p & 3) << 2 * pos[pair]
+            for bits in ext_bits:
+                child = ColoredGraph(k, base | bits)
                 best, argmins = _min_relabelling(child)
                 if best in seen:
                     continue
@@ -398,7 +458,7 @@ def _enumerate_isomorph_free(n: int, visitor) -> int:
                 if k - 1 not in last_orbit:
                     continue
                 seen.add(best)
-                nxt.append(ColoredGraph.from_digits(k, best))
+                nxt.append(_relabelled(child, best, argmins[0]))
         level = nxt
     for g in level:
         if visitor is not None:

@@ -25,6 +25,21 @@ def brute_force_embeds(pattern: ColoredGraph, host: ColoredGraph) -> bool:
     return False
 
 
+def brute_force_min_relabelling(g: ColoredGraph):
+    """Try all g.n! relabellings: the least upper-triangle digit tuple, and
+    every permutation that gives it, in lexicographic order."""
+    m = g.matrix()
+    pairs = pair_list(g.n)
+    best, argmins = None, []
+    for perm in itertools.permutations(range(g.n)):
+        digits = tuple(m[perm[x]][perm[y]] for x, y in pairs)
+        if best is None or digits < best:
+            best, argmins = digits, [perm]
+        elif digits == best:
+            argmins.append(perm)
+    return best, argmins
+
+
 def brute_force_is_free(host: ColoredGraph, family) -> bool:
     return not any(brute_force_embeds(f, host) for f in family)
 

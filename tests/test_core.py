@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from cwg.core import (
     ColoredGraph,
     CwgFormatError,
     Threshold,
+    _min_relabelling,
     aes_threshold,
     canonical_form,
     canonicalized,
@@ -239,6 +241,18 @@ class TestEnumeration:
         # Burnside counts for S_4 and S_5 acting on 3-colorings of the pairs.
         assert enumerate_graphs(4, "isomorph_free").count == 66
         assert enumerate_graphs(5, "isomorph_free").count == 792
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_orbit_count_gives_every_labelled_graph(self, n):
+        # Orbit-stabiliser: class G has n!/|Aut(G)| labelled copies, and
+        # _min_relabelling returns the automorphisms as its argmins.
+        copies = []
+        enumerate_graphs(
+            n,
+            "isomorph_free",
+            lambda g: copies.append(math.factorial(n) // len(_min_relabelling(g)[1])),
+        )
+        assert sum(copies) == 3 ** num_pairs(n)
 
     def test_isomorph_free_matches_canonical_dedup(self):
         reps = []

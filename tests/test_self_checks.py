@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import cwg
-from cwg import SelfCheckError, embedding, homomorphism, search
+from cwg import SelfCheckError, core, embedding, homomorphism, search
 from cwg.constructions import gen_family, gen_j, gen_rk, gen_rk_minus
 
 
@@ -43,6 +43,28 @@ def test_threshold_witness_is_rechecked(monkeypatch):
     monkeypatch.setattr(search, "_reference_is_free", lambda g, family: False)
     with pytest.raises(SelfCheckError, match="threshold witness"):
         search.empirical_threshold(4, 2, "odd")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: core.canonicalized(core.ColoredGraph.from_digits(3, (0, 1, 2))),
+        lambda: core.enumerate_graphs(3, "isomorph_free"),
+    ],
+    ids=["canonicalized", "isomorph_free"],
+)
+def test_wrong_canonical_relabelling_raises(monkeypatch, run):
+    """Reversing each minimal relabelling keeps the digits but breaks the
+    claim that the relabelling gives them, on any asymmetric graph."""
+    original = core._min_relabelling
+
+    def reversed_argmins(g):
+        digits, argmins = original(g)
+        return digits, [perm[::-1] for perm in argmins]
+
+    monkeypatch.setattr(core, "_min_relabelling", reversed_argmins)
+    with pytest.raises(SelfCheckError, match="canonical relabelling"):
+        run()
 
 
 def test_checks_survive_optimize_flag():
