@@ -407,9 +407,14 @@ def canonicalized(g: ColoredGraph, bound: int = ISO_ENUM_BOUND) -> ColoredGraph:
 
 @dataclass
 class EnumerationStats:
+    """What one enumeration visited.  ``canonical_forms`` counts the children
+    of canonical augmentation that reached ``_min_relabelling``; raw mode
+    computes none."""
+
     n: int
     mode: str
     count: int
+    canonical_forms: int = 0
 
 
 def _enumerate_raw(n: int, visitor) -> int:
@@ -421,49 +426,69 @@ def _enumerate_raw(n: int, visitor) -> int:
     return count
 
 
-def _enumerate_isomorph_free(n: int, visitor) -> int:
-    """Canonical augmentation: extend representatives one vertex at a time.
+def _enumerate_isomorph_free(n: int, visitor) -> tuple[int, int]:
+    """Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26 (1998)): extend representatives one vertex at a time.
 
-    A child built from a canonical parent by appending a vertex is accepted
-    iff the appended vertex lands in the same automorphism orbit as the
-    vertex occupying the last slot of the child's canonical labelling; a
-    per-parent set of canonical codes removes duplicates arising from
-    automorphic extensions of the same parent.  Each isomorphism class is
-    then produced exactly once.
+    The invariant of a vertex is (nonzero pairs at it, red pairs at it),
+    compared as a tuple.  A child, a canonical parent with vertex k-1
+    appended, is accepted iff k-1 is in the orbit of the vertex deleted
+    canonically: among the vertices of greatest invariant, the one at the
+    latest position of the child's canonical labelling.  A child in which
+    an old vertex has a greater invariant than k-1 is rejected before any
+    canonical form is computed.  The rule is isomorphism-invariant, so every
+    class has one canonical-parent orbit; a per-parent set of canonical
+    codes removes the duplicates that automorphic extensions of one parent
+    give.  Each isomorphism class is then produced exactly once.
+
+    Returns (number of classes, number of children canonicalised).
     """
     if n == 0:
         if visitor is not None:
             visitor(ColoredGraph(0, 0))
-        return 1
+        return 1, 0
     level: list[ColoredGraph] = [ColoredGraph(1, 0)]
+    forms = 0
     for k in range(2, n + 1):
+        # An invariant (a, r) is packed as a*k + r, which orders like the
+        # tuple because r <= a < k; a digit w adds grow[w] to it.
+        grow = (0, k, k + 1)
         # The new vertex is k-1; its pair with x sits at the end of row x.
         pos = pair_pos(k)
-        ext_bits = [
-            sum(w << 2 * pos[(x, k - 1)] for x, w in enumerate(ext))
-            for ext in itertools.product((0, 1, 2), repeat=k - 1)
-        ]
+        exts = []
+        for ext in itertools.product((0, 1, 2), repeat=k - 1):
+            steps = tuple(grow[w] for w in ext)
+            bits = sum(w << 2 * pos[(x, k - 1)] for x, w in enumerate(ext))
+            exts.append((bits, steps, sum(steps)))
         nxt: list[ColoredGraph] = []
         for parent in level:
             seen: set[tuple[int, ...]] = set()
             base = 0
             for p, pair in enumerate(pair_list(k - 1)):
                 base |= (parent.bits >> 2 * p & 3) << 2 * pos[pair]
-            for bits in ext_bits:
+            keys = [a.bit_count() * k + r.bit_count() for a, r in zip(parent._ge1, parent._red)]
+            for bits, steps, new in exts:
+                inv = [key + s for key, s in zip(keys, steps)]
+                if max(inv) > new:
+                    continue
+                inv.append(new)
                 child = ColoredGraph(k, base | bits)
+                forms += 1
                 best, argmins = _min_relabelling(child)
                 if best in seen:
                     continue
-                last_orbit = {perm[k - 1] for perm in argmins}
-                if k - 1 not in last_orbit:
+                canon = argmins[0]
+                # new is the greatest invariant, since k-1 passed the test above.
+                last = next(p for p in range(k - 1, -1, -1) if inv[canon[p]] == new)
+                if k - 1 not in {perm[last] for perm in argmins}:
                     continue
                 seen.add(best)
-                nxt.append(_relabelled(child, best, argmins[0]))
+                nxt.append(_relabelled(child, best, canon))
         level = nxt
     for g in level:
         if visitor is not None:
             visitor(g)
-    return len(level)
+    return len(level), forms
 
 
 def enumerate_graphs(
@@ -476,15 +501,16 @@ def enumerate_graphs(
     raw mode visits all 3^C(n,2) labelled graphs (n <= 6); isomorph_free
     visits one representative per isomorphism class (n <= 8).
     """
+    forms = 0
     if mode == "raw":
         count = _enumerate_raw(n, visitor)  # all_graphs checks the bound
     elif mode == "isomorph_free":
         if n > ISO_ENUM_BOUND:
             raise ValueError("isomorph-free bound %d exceeded (n=%d)" % (ISO_ENUM_BOUND, n))
-        count = _enumerate_isomorph_free(n, visitor)
+        count, forms = _enumerate_isomorph_free(n, visitor)
     else:
         raise ValueError("unknown enumeration mode %r" % (mode,))
-    return EnumerationStats(n=n, mode=mode, count=count)
+    return EnumerationStats(n=n, mode=mode, count=count, canonical_forms=forms)
 
 
 def all_graphs(n: int) -> Iterator[ColoredGraph]:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import cwg
 from cwg.cli import main
 from cwg.core import ColoredGraph, parse_cwg, read_cwg, to_cwg, write_cwg
 from cwg.constructions import gen_even_extremal, gen_j, gen_rk, gen_rk_minus
@@ -291,6 +295,16 @@ class TestErrorsAndDeterminism:
             main(["--version"])
         assert exc.value.code == 0
         assert "cwg" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(cwg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "cwg", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "cwg %s" % cwg.__version__
 
     def test_byte_identical_repeat(self, tmp_path, capsys):
         path = tmp_path / "g.cwg"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cwg import core
 from cwg.core import (
     CanonicalForm,
     ColoredGraph,
@@ -226,6 +227,7 @@ class TestEnumeration:
         assert enumerate_graphs(4, "raw").count == 729
         for n in range(0, 6):
             assert enumerate_graphs(n, "raw").count == 3 ** num_pairs(n)
+        assert enumerate_graphs(4, "raw").canonical_forms == 0
 
     def test_raw_visits_distinct_graphs(self):
         seen = []
@@ -254,13 +256,37 @@ class TestEnumeration:
         )
         assert sum(copies) == 3 ** num_pairs(n)
 
-    def test_isomorph_free_matches_canonical_dedup(self):
+    @pytest.mark.parametrize("n, classes, forms", [(5, 792, 1632), (6, 25506, 42529)])
+    def test_canonical_forms_counted(self, monkeypatch, n, classes, forms):
+        # The invariant-first deletion rejects most children before their
+        # canonical form; canonical_forms counts those that reach it.
+        calls = []
+        original = core._min_relabelling
+
+        def counted(g):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(core, "_min_relabelling", counted)
+        stats = enumerate_graphs(n, "isomorph_free")
+        assert (stats.count, stats.canonical_forms) == (classes, forms)
+        assert len(calls) == forms
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_isomorph_free_representatives_are_canonical(self, n):
         reps = []
-        enumerate_graphs(3, "isomorph_free", reps.append)
-        codes = {canonical_form(g).code for g in reps}
-        brute = set()
-        enumerate_graphs(3, "raw", lambda g: brute.add(canonical_form(g).code))
-        assert codes == brute
+        enumerate_graphs(n, "isomorph_free", reps.append)
+        assert all(canonicalized(g) == g for g in reps)
+        assert len({canonical_form(g).code for g in reps}) == len(reps)
+
+    def test_isomorph_free_matches_canonical_dedup(self):
+        for n in range(5):
+            reps = []
+            enumerate_graphs(n, "isomorph_free", reps.append)
+            codes = {canonical_form(g).code for g in reps}
+            brute = set()
+            enumerate_graphs(n, "raw", lambda g: brute.add(canonical_form(g).code))
+            assert codes == brute
 
     def test_bounds(self):
         with pytest.raises(ValueError):

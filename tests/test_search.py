@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from cwg.core import (
     ColoredGraph,
     Threshold,
+    _min_relabelling,
     all_graphs,
     edge_weight_sum,
     enumerate_graphs,
@@ -29,6 +32,7 @@ from cwg.search import (
     _recheck_counterexample,
     _reference_is_free,
     _scan_raw,
+    _theorem_setup,
     _two_level_shape,
     code_of_graph,
     compute_ex,
@@ -79,6 +83,47 @@ class TestFamilyChecker:
         for _ in range(100):
             g = random_graph(rng, 5)
             assert checker.is_free_graph(g) == _reference_is_free(g, fam)
+
+
+@pytest.fixture(scope="module")
+def iso_classes():
+    """For n = 1..5, each isomorph_free representative with its number of
+    labelled copies n!/|Aut|."""
+    classes = {}
+    for n in range(1, 6):
+        reps = []
+        enumerate_graphs(n, "isomorph_free", reps.append)
+        classes[n] = [(g, math.factorial(n) // len(_min_relabelling(g)[1])) for g in reps]
+    return classes
+
+
+class TestCensus:
+    """Orbit counting: the labelled graphs with an isomorphism-invariant
+    property number the sum of n!/|Aut(G)| over the classes G with it.  A
+    canonical augmentation that drops or duplicates a class breaks the sum
+    even where the class count survives."""
+
+    @pytest.mark.parametrize("kind, r", [("odd", 2), ("even", 3), ("odd", 3)])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_iso_census_matches_raw(self, iso_classes, kind, r, n):
+        family, threshold, _ = _theorem_setup(kind, r)
+        checker = FamilyChecker(family)
+        conditions = _compile_conditions(n, family)
+
+        def census(cutoff):
+            iso = sum(
+                copies
+                for g, copies in iso_classes[n]
+                if min_degree(g) >= cutoff and checker.is_free_graph(g)
+            )
+            raw = sum(len(b) for b in _scan_raw(n, cutoff, conditions, 0, 3 ** num_pairs(n)))
+            return iso, raw
+
+        verify = verify_theorem_odd if kind == "odd" else verify_theorem_even
+        passed = verify(r, n, mode="raw").statistics["hypothesis_passed"]
+        assert census(threshold.cutoff(n)) == (passed, passed)
+        iso, raw = census(0)
+        assert iso == raw >= passed
 
 
 class TestVerifyTheorems:
