@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .core import ColoredGraph, SelfCheckError, even_threshold, min_degree, pair_list
 from .constructions import gen_family
-from .embedding import Embedding, find_clique, find_embedding, is_free
+from .embedding import Embedding, FamilyChecker, find_clique, find_embedding, is_free
 from .homomorphism import HomCertificate, verify_certificate
 
 
@@ -64,10 +64,12 @@ def extremal_completion(
     seeded random policy) attempting single +1 increments; a sweep that
     changes nothing ends the process.  The fixpoint is extremal: raising any
     single pair creates a family member, hence so does any pointwise-larger
-    graph.  Each raise is checked with the full compiled ``is_free``.
+    graph.  The input and each raise are checked with one ``FamilyChecker``
+    compiled for the completion.
     """
-    free, witness = is_free(g, family)
-    if not free:
+    checker = FamilyChecker(family)
+    witness = checker.witness(g)
+    if witness is not None:
         raise ValueError("input graph is not family-free (member %d embeds)" % witness[0])
     if policy not in ("lex", "random"):
         raise ValueError("unknown completion policy %r" % (policy,))
@@ -86,7 +88,7 @@ def extremal_completion(
             if w == 2:
                 continue
             candidate = g.with_weight(x, y, w + 1)
-            if is_free(candidate, family)[0]:
+            if checker.is_free_graph(candidate):
                 g = candidate
                 changed = True
     return g

@@ -377,11 +377,11 @@ def _min_relabelling(g: ColoredGraph):
     return tuple(code >> 2 * j & 3 for j in range(m - 1, -1, -1)), argmins
 
 
-def canonical_form(g: ColoredGraph, bound: int = ISO_ENUM_BOUND) -> CanonicalForm:
+def canonical_form(g: ColoredGraph) -> CanonicalForm:
     """The lexicographically minimal digits over all relabellings, found by
     the row-by-row cell search of ``_min_relabelling``."""
-    if g.n > bound:
-        raise ValueError("canonical_form bound %d exceeded (n=%d)" % (bound, g.n))
+    if g.n > ISO_ENUM_BOUND:
+        raise ValueError("canonical_form bound %d exceeded (n=%d)" % (ISO_ENUM_BOUND, g.n))
     best, _ = _min_relabelling(g)
     return CanonicalForm(g.n, "".join(str(d) for d in best))
 
@@ -394,10 +394,10 @@ def _relabelled(g: ColoredGraph, best: tuple[int, ...], perm) -> ColoredGraph:
     return c
 
 
-def canonicalized(g: ColoredGraph, bound: int = ISO_ENUM_BOUND) -> ColoredGraph:
+def canonicalized(g: ColoredGraph) -> ColoredGraph:
     """The canonically relabelled copy of g."""
-    if g.n > bound:
-        raise ValueError("canonical bound %d exceeded (n=%d)" % (bound, g.n))
+    if g.n > ISO_ENUM_BOUND:
+        raise ValueError("canonical bound %d exceeded (n=%d)" % (ISO_ENUM_BOUND, g.n))
     best, argmins = _min_relabelling(g)
     return _relabelled(g, best, argmins[0])
 

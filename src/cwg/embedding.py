@@ -9,16 +9,17 @@ generic backtracker and the reference implementation.  ``FamilyChecker``
 compiles a family once: members that are a red clique fully joined to a
 blue clique (every member of the standard families) become bitmask clique
 searches, and only the remaining members go to the backtracker.
-``is_free`` runs on the compiled engine.
+The same compilation gives the raw scan its pair conditions
+(``FamilyChecker.conditions``).  ``is_free`` runs on the compiled engine.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ColoredGraph, SelfCheckError, pair_list
+from .core import ColoredGraph, SelfCheckError, pair_list, pair_pos
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,10 @@ def is_free(
     """(True, None) if no family member embeds, else (False, (index, witness)).
 
     Members are tried smallest order first, ties by index; the returned
-    index refers to the family list as given.  Runs on the compiled engine
-    (``FamilyChecker``).
+    index refers to the family list as given.  Compiles the family for this
+    one host; a loop over hosts builds one ``FamilyChecker`` instead.
     """
-    witness = _compiled(tuple(family)).witness(host)
+    witness = FamilyChecker(family).witness(host)
     return witness is None, witness
 
 
@@ -237,12 +238,6 @@ def _two_level_shape(member: ColoredGraph) -> Optional[tuple[int, int]]:
     return n, len(red_vs)
 
 
-@functools.lru_cache(maxsize=32)
-def _compiled(family: tuple[ColoredGraph, ...]) -> "FamilyChecker":
-    """The checker of a family, compiled once; graphs are immutable."""
-    return FamilyChecker(family)
-
-
 class FamilyChecker:
     """Freeness tester compiled from a family.
 
@@ -250,24 +245,52 @@ class FamilyChecker:
     clique searches (``_two_level_cliques``); anything else goes to the
     generic ``find_embedding``.  Members are tried in one order, smallest
     order first and ties by family index, so the first hit is the witness
-    ``is_free`` promises.
+    ``is_free`` promises.  Build one checker per search and reuse it for
+    every host the search tests.
     """
 
     def __init__(self, family: list[ColoredGraph]):
         self.family = list(family)
-        self.generic: list[ColoredGraph] = []
         # (family index, member, shape or None, red vertices, blue vertices)
         self._plan = []
         for idx in sorted(range(len(self.family)), key=lambda i: (self.family[i].n, i)):
             member = self.family[idx]
             shape = _two_level_shape(member)
             if shape is None:
-                self.generic.append(member)
                 self._plan.append((idx, member, None, (), ()))
             else:
                 reds = tuple(v for v in range(member.n) if member.red_mask(v))
                 blues = tuple(v for v in range(member.n) if not member.red_mask(v))
                 self._plan.append((idx, member, shape, reds, blues))
+
+    def conditions(self, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Boolean pair conditions on order-n graphs whose disjunction
+        detects any member: one condition per (vertex subset, red-clique
+        subset) choice, in family order, listing the pair positions that
+        must be red and those that must be nonzero.  Every member must be a
+        red clique fully joined to a blue remainder."""
+        pos = pair_pos(n)
+        conditions = []
+        for idx, member, shape, _, _ in sorted(self._plan, key=lambda step: step[0]):
+            if shape is None:
+                raise ValueError(
+                    "family member %d (order %d) is not a red clique over a blue "
+                    "clique; the raw scan cannot compile it" % (idx, member.n)
+                )
+            o, i = shape
+            if o > n:
+                continue
+            for subset in itertools.combinations(range(n), o):
+                for red_part in itertools.combinations(subset, i):
+                    red_positions = []
+                    ge1_positions = []
+                    for a, b in itertools.combinations(subset, 2):
+                        if a in red_part and b in red_part:
+                            red_positions.append(pos[(a, b)])
+                        else:
+                            ge1_positions.append(pos[(a, b)])
+                    conditions.append((tuple(red_positions), tuple(ge1_positions)))
+        return conditions
 
     def witness(self, host: ColoredGraph) -> Optional[tuple[int, Embedding]]:
         """(family index, embedding) of the first member that embeds, or None."""

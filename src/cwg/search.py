@@ -6,18 +6,17 @@ low digits, read from a cached table of all their settings, and high
 digits, fixed on each aligned block of codes.  A block is skipped whole
 when the fixed digits already rule out the minimum-degree cutoff or
 contain a family member; otherwise the degree filter and the
-family-freeness conditions (compiled to boolean pair conditions) run
-vectorized over the block's low digits.  Raw verify, iso verify and each
-degree of the threshold probe (rescanned from the top degree down) share
-one walk in one process, ``_first_without_hom``.  A counterexample or
-threshold witness is re-verified through the independent
-embedding/homomorphism modules, and a counterexample is greedily
-weight-minimized before it is reported.
+family-freeness conditions (boolean pair conditions from
+``FamilyChecker.conditions``) run vectorized over the block's low digits.
+Raw verify, iso verify and each degree of the threshold probe (rescanned
+from the top degree down) share one walk in one process,
+``_first_without_hom``.  A counterexample or threshold witness is
+re-verified through the independent embedding/homomorphism modules, and a
+counterexample is greedily weight-minimized before it is reported.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,10 +37,9 @@ from .core import (
     num_pairs,
     odd_threshold,
     pair_list,
-    pair_pos,
 )
 from .constructions import gen_family
-from .embedding import FamilyChecker, _two_level_shape, find_embedding, is_free
+from .embedding import FamilyChecker, find_embedding
 from .homomorphism import find_hom_rk, find_hom_rk_minus
 
 EX_BOUND = 8
@@ -88,38 +86,6 @@ class SearchReport:
 
 
 # -- vectorized raw scan ------------------------------------------------------
-
-
-def _compile_conditions(n: int, family: list[ColoredGraph]):
-    """Boolean pair conditions whose disjunction detects any family member:
-    one condition per (vertex subset, red-clique subset) choice, listing the
-    pair positions that must be red and those that must be nonzero.  Every
-    member must be a red clique fully joined to a blue remainder."""
-    pos = pair_pos(n)
-    conditions = []
-    for idx, member in enumerate(family):
-        shape = _two_level_shape(member)
-        if shape is None:
-            raise ValueError(
-                "family member %d (order %d) is not a red clique over a blue "
-                "clique; the raw scan cannot compile it" % (idx, member.n)
-            )
-        o, i = shape
-        if o > n:
-            continue
-        for subset in itertools.combinations(range(n), o):
-            for red_part in itertools.combinations(subset, i):
-                red_set = set(red_part)
-                red_positions = []
-                ge1_positions = []
-                for a, b in itertools.combinations(subset, 2):
-                    p = pos[(a, b)]
-                    if a in red_set and b in red_set:
-                        red_positions.append(p)
-                    else:
-                        ge1_positions.append(p)
-                conditions.append((tuple(red_positions), tuple(ge1_positions)))
-    return conditions
 
 
 def _low_table(n: int, low: int):
@@ -274,13 +240,14 @@ def _recheck_counterexample(g, family, threshold, hom) -> None:
 
 def _minimize_counterexample(g, family, threshold, hom) -> ColoredGraph:
     """Greedily lower weights while the graph stays a counterexample."""
+    checker = FamilyChecker(family)
 
     def still(c: ColoredGraph) -> bool:
         if not threshold.exceeds(min_degree(c), c.n):
             return False
         if hom(c) is not None:
             return False
-        return is_free(c, family)[0]
+        return checker.is_free_graph(c)
 
     changed = True
     while changed:
@@ -327,6 +294,7 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str) -> SearchReport:
     if n < 1:
         raise ValueError("need n >= 1")
     family, threshold, hom = _theorem_setup(kind, r)
+    checker = FamilyChecker(family)
     t_param = 2 * r + 1 if kind == "odd" else 2 * r
     cutoff = threshold.cutoff(n)
     t0 = time.perf_counter()
@@ -341,13 +309,12 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str) -> SearchReport:
 
     if mode == "raw":
         total = _raw_total(n)
-        graphs = _raw_graphs(n, cutoff, _compile_conditions(n, family))
+        graphs = _raw_graphs(n, cutoff, checker.conditions(n))
         passed, g = _first_without_hom(graphs, hom)
         enumerated = total if g is None else code_of_graph(g) + 1
     elif mode == "iso":
         classes: list[ColoredGraph] = []
         enumerated = enumerate_graphs(n, "isomorph_free", classes.append).count
-        checker = FamilyChecker(family)
         graphs = (c for c in classes if min_degree(c) >= cutoff and checker.is_free_graph(c))
         passed, g = _first_without_hom(graphs, hom)
     else:
@@ -403,9 +370,11 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     weights in {0..weight_cap}.
 
     Branch and bound over pairs in lexicographic order, larger weights
-    first; the bound is current sum + cap * pairs remaining.  Every node
-    with a positive new weight is checked with the compiled ``is_free``;
-    the witness is re-checked with the generic backtracker.
+    first; the bound is current sum + cap * pairs remaining.  The all-green
+    root and every node with a positive new weight are checked with one
+    ``FamilyChecker`` compiled for the search; the value is None when the
+    root already contains a member.  The witness is re-checked with the
+    generic backtracker.
     """
     if n > EX_BOUND:
         raise ValueError("extremal search bound %d exceeded (n=%d)" % (EX_BOUND, n))
@@ -414,15 +383,12 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     if any(f.n == 0 for f in family):
         raise ValueError("the empty graph embeds everywhere; family is degenerate")
     t0 = time.perf_counter()
+    checker = FamilyChecker(family)
     m = num_pairs(n)
     digits = [0] * m
     best = -1
     best_digits: Optional[list[int]] = None
     nodes = 0
-
-    # Single-vertex members forbid everything on n >= 1 vertices.
-    if n >= 1 and any(f.n == 1 for f in family):
-        best = None
 
     def rec(d: int, total: int) -> None:
         nonlocal best, best_digits, nodes
@@ -436,13 +402,15 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
             nodes += 1
             digits[d] = w
             if w > 0:
-                if not is_free(ColoredGraph.from_digits(n, digits), family)[0]:
+                if not checker.is_free_graph(ColoredGraph.from_digits(n, digits)):
                     digits[d] = 0
                     continue
             rec(d + 1, total + w)
             digits[d] = 0
 
-    if best is None:
+    # A member that embeds in the all-green root embeds in every graph of
+    # order n, e.g. one with no nonzero pair and at most n vertices.
+    if not checker.is_free_graph(ColoredGraph(n, 0)):
         value = None
         witness = None
     else:
@@ -478,7 +446,7 @@ def empirical_threshold(n: int, r: int, kind: str) -> SearchReport:
     family, threshold, hom = _theorem_setup(kind, r)
     total = _raw_total(n)
     t0 = time.perf_counter()
-    conditions = _compile_conditions(n, family)
+    conditions = FamilyChecker(family).conditions(n)
 
     # From the top degree down, rescanning at each cutoff d and checking the
     # free graphs of minimum degree exactly d in code order; the higher ones

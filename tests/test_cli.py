@@ -234,6 +234,17 @@ class TestEx:
         assert payload["parameters"]["family"] == "F:4"
         validate(schema, payload)
 
+    def test_edgeless_member_has_no_value(self, tmp_path, capsys, schema):
+        path = tmp_path / "f.cwg"
+        path.write_text("cwg 2\n0\n", encoding="ascii")
+        code, payload = run_json(
+            capsys, ["ex", "--n", "3", "--family", "file:%s" % path, "--json"]
+        )
+        assert code == 0
+        assert payload["outcome"] == "value"
+        assert "value" not in payload and "witness" not in payload
+        validate(schema, payload)
+
 
 class TestThreshold:
     def test_probe(self, capsys, schema):

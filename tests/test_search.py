@@ -21,19 +21,17 @@ from cwg.constructions import (
     gen_odd_extremal,
     gen_rk,
 )
-from cwg.embedding import is_free
+from cwg.embedding import _two_level_shape, is_free
 from cwg.homomorphism import find_hom_rk
 from cwg.search import (
     FamilyChecker,
     SearchReport,
-    _compile_conditions,
     _minimize_counterexample,
     _raw_graphs,
     _recheck_counterexample,
     _reference_is_free,
     _scan_raw,
     _theorem_setup,
-    _two_level_shape,
     code_of_graph,
     compute_ex,
     density_report,
@@ -79,7 +77,6 @@ class TestFamilyChecker:
     def test_generic_fallback(self, rng):
         fam = [gen_j(3).graph]
         checker = FamilyChecker(fam)
-        assert checker.generic == fam
         for _ in range(100):
             g = random_graph(rng, 5)
             assert checker.is_free_graph(g) == _reference_is_free(g, fam)
@@ -108,7 +105,7 @@ class TestCensus:
     def test_iso_census_matches_raw(self, iso_classes, kind, r, n):
         family, threshold, _ = _theorem_setup(kind, r)
         checker = FamilyChecker(family)
-        conditions = _compile_conditions(n, family)
+        conditions = checker.conditions(n)
 
         def census(cutoff):
             iso = sum(
@@ -282,7 +279,7 @@ class TestScanRaw:
         # with minimum degree at least (exact: equal to) the cutoff.
         n = 4
         for fam in (None, gen_family(5), gen_family(6), gen_family(7)):
-            conditions = None if fam is None else _compile_conditions(n, fam)
+            conditions = None if fam is None else FamilyChecker(fam).conditions(n)
             rows = [
                 (code, g, min_degree(g))
                 for code, g in enumerate(all_graphs(n))
@@ -303,7 +300,7 @@ class TestScanRaw:
                 assert got == expected
 
     def test_unaligned_small_chunks(self):
-        conditions = _compile_conditions(4, gen_family(5))
+        conditions = FamilyChecker(gen_family(5)).conditions(4)
         for cutoff, cond in ((0, None), (2, conditions)):
             whole = self.records(4, cutoff, cond, 5, 700, chunk=695)
             assert whole
@@ -323,7 +320,7 @@ class TestScanRaw:
     def check_window(self, n, lo, hi, cutoffs, chunk):
         rows = self.reference(n, lo, hi)
         for t in (None, 5, 6, 7):
-            conditions = None if t is None else _compile_conditions(n, gen_family(t))
+            conditions = None if t is None else FamilyChecker(gen_family(t)).conditions(n)
             for cutoff in cutoffs:
                 expected = [
                     (code, d)
@@ -346,7 +343,7 @@ class TestScanRaw:
         )
         assert max(g.degrees()[1] for g in block) == 6
         self.check_window(5, lo, hi, range(9), chunk=size)
-        assert self.records(5, 0, _compile_conditions(5, gen_family(6)), lo, hi, chunk=size)
+        assert self.records(5, 0, FamilyChecker(gen_family(6)).conditions(5), lo, hi, chunk=size)
 
     def test_chunk_straddles_a_block_boundary_n6(self):
         # The default chunk, 3^11 codes, makes blocks of 3^11 as well.
@@ -360,7 +357,7 @@ class TestScanRaw:
 
     def test_rejects_unshaped_members(self):
         with pytest.raises(ValueError, match="member 1"):
-            _compile_conditions(5, [gen_rk(2), gen_j(3).graph])
+            FamilyChecker([gen_rk(2), gen_j(3).graph]).conditions(5)
 
 
 class TestComputeEx:
@@ -410,9 +407,12 @@ class TestComputeEx:
         for n, expected in ((3, 2), (4, 4), (5, 6)):
             assert compute_ex(n, gen_family(4), 1).value == expected
 
-    def test_degenerate_single_vertex_member(self):
-        rep = compute_ex(3, [ColoredGraph(1, 0)], 2)
-        assert rep.value is None
+    @pytest.mark.parametrize("order, expected", [(1, None), (2, None), (3, None), (4, 6)])
+    def test_edgeless_member(self, order, expected):
+        # An edgeless member embeds in every graph of its order or more.
+        rep = compute_ex(3, [ColoredGraph(order, 0)], 2)
+        assert rep.value == expected
+        assert (rep.witness is None) == (expected is None)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

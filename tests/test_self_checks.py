@@ -1,10 +1,12 @@
 """Every search re-checks its own result with the independent verifier and
 raises SelfCheckError when the verifier rejects it, also under python -O."""
 
+import ast
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,12 @@ def test_threshold_witness_is_rechecked(monkeypatch):
     monkeypatch.setattr(search, "_reference_is_free", lambda g, family: False)
     with pytest.raises(SelfCheckError, match="threshold witness"):
         search.empirical_threshold(4, 2, "odd")
+
+
+def test_ex_witness_is_rechecked(monkeypatch):
+    monkeypatch.setattr(search, "_reference_is_free", lambda g, family: False)
+    with pytest.raises(SelfCheckError, match="extremal witness"):
+        search.compute_ex(4, gen_family(4))
 
 
 @pytest.mark.parametrize(
@@ -92,3 +100,14 @@ def test_checks_survive_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "2"
+
+
+def test_no_assert_statements_in_package():
+    """Re-checks are explicit raises: ``python -O`` strips assert statements."""
+    found = []
+    for path in sorted(Path(cwg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            "%s:%d" % (path.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert found == []
