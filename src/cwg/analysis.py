@@ -64,8 +64,11 @@ def extremal_completion(
     seeded random policy) attempting single +1 increments; a sweep that
     changes nothing ends the process.  The fixpoint is extremal: raising any
     single pair creates a family member, hence so does any pointwise-larger
-    graph.  The input and each raise are checked with one ``FamilyChecker``
-    compiled for the completion.
+    graph.  One ``FamilyChecker`` compiled for the completion checks the
+    whole input.  The current graph stays family-free, so each raise is
+    tested only for copies through the raised pair
+    (``FamilyChecker.first_copy``), on per-vertex masks kept up to date
+    here; a graph is built for each accepted raise.
     """
     checker = FamilyChecker(family)
     witness = checker.witness(g)
@@ -77,6 +80,8 @@ def extremal_completion(
         raise ValueError("the random completion policy needs a seed (--seed)")
     rng = random.Random(seed) if policy == "random" else None
     pairs = list(pair_list(g.n))
+    ge1 = [g.ge1_mask(v) for v in range(g.n)]
+    red = [g.red_mask(v) for v in range(g.n)]
     changed = True
     while changed:
         changed = False
@@ -87,10 +92,16 @@ def extremal_completion(
             w = g.weight(x, y)
             if w == 2:
                 continue
-            candidate = g.with_weight(x, y, w + 1)
-            if checker.is_free_graph(candidate):
-                g = candidate
+            # Raise xy to w + 1 on the masks: nonzero from green, red from blue.
+            masks = red if w else ge1
+            masks[x] |= 1 << y
+            masks[y] |= 1 << x
+            if checker.first_copy(ge1, red, lambda: g.with_weight(x, y, w + 1), (x, y)) is None:
+                g = g.with_weight(x, y, w + 1)
                 changed = True
+            else:
+                masks[x] &= ~(1 << y)
+                masks[y] &= ~(1 << x)
     return g
 
 

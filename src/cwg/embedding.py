@@ -8,8 +8,10 @@ Two engines answer the containment question.  ``find_embedding`` is the
 generic backtracker and the reference implementation.  ``FamilyChecker``
 compiles a family once: members that are a red clique fully joined to a
 blue clique (every member of the standard families) become bitmask clique
-searches, and only the remaining members go to the backtracker.
-The same compilation gives the raw scan its pair conditions
+searches, and only the remaining members go to the backtracker.  Its one
+search loop, ``FamilyChecker.first_copy``, tests a whole host or only the
+copies through a pair just raised in a family-free graph.  The same
+compilation gives the raw scan its pair conditions
 (``FamilyChecker.conditions``).  ``is_free`` runs on the compiled engine.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import ColoredGraph, SelfCheckError, pair_list, pair_pos
 
@@ -242,26 +244,30 @@ class FamilyChecker:
     """Freeness tester compiled from a family.
 
     Members with the red-clique-over-blue shape are tested with bitmask
-    clique searches (``_two_level_cliques``); anything else goes to the
-    generic ``find_embedding``.  Members are tried in one order, smallest
-    order first and ties by family index, so the first hit is the witness
-    ``is_free`` promises.  Build one checker per search and reuse it for
-    every host the search tests.
+    clique searches (``_two_level_cliques``) on the host's per-vertex
+    nonzero and red masks; anything else goes to the generic
+    ``find_embedding``.  Members are tried in one order, smallest order
+    first and ties by family index, so the first hit is the witness
+    ``is_free`` promises.
+
+    ``first_copy`` is the one search loop.  ``witness`` runs it on a whole
+    host.  A search that raises one pair at a time in a family-free graph
+    runs it on the copies through the raised pair only, on masks it keeps
+    up to date itself, and so builds no graph per step.  Build one checker
+    per search and reuse it for every host the search tests.
     """
 
     def __init__(self, family: list[ColoredGraph]):
         self.family = list(family)
-        # (family index, member, shape or None, red vertices, blue vertices)
+        # (family index, member, shape or None, member vertices in the
+        # order of a two-level hit: red clique first, then blue part)
         self._plan = []
         for idx in sorted(range(len(self.family)), key=lambda i: (self.family[i].n, i)):
             member = self.family[idx]
             shape = _two_level_shape(member)
-            if shape is None:
-                self._plan.append((idx, member, None, (), ()))
-            else:
-                reds = tuple(v for v in range(member.n) if member.red_mask(v))
-                blues = tuple(v for v in range(member.n) if not member.red_mask(v))
-                self._plan.append((idx, member, shape, reds, blues))
+            reds = tuple(v for v in range(member.n) if member.red_mask(v))
+            blues = tuple(v for v in range(member.n) if not member.red_mask(v))
+            self._plan.append((idx, member, shape, reds + blues))
 
     def conditions(self, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Boolean pair conditions on order-n graphs whose disjunction
@@ -271,7 +277,7 @@ class FamilyChecker:
         red clique fully joined to a blue remainder."""
         pos = pair_pos(n)
         conditions = []
-        for idx, member, shape, _, _ in sorted(self._plan, key=lambda step: step[0]):
+        for idx, member, shape, _ in sorted(self._plan, key=lambda step: step[0]):
             if shape is None:
                 raise ValueError(
                     "family member %d (order %d) is not a red clique over a blue "
@@ -292,13 +298,37 @@ class FamilyChecker:
                     conditions.append((tuple(red_positions), tuple(ge1_positions)))
         return conditions
 
-    def witness(self, host: ColoredGraph) -> Optional[tuple[int, Embedding]]:
-        """(family index, embedding) of the first member that embeds, or None."""
-        n = host.n
-        ge1 = [host.ge1_mask(v) for v in range(n)]
-        red = [host.red_mask(v) for v in range(n)]
-        for idx, member, shape, reds, blues in self._plan:
+    def first_copy(
+        self,
+        ge1,
+        red,
+        graph: Callable[[], ColoredGraph],
+        raised: Optional[tuple[int, int]] = None,
+    ) -> Optional[tuple[int, Embedding]]:
+        """(family index, embedding) of the first member, in plan order,
+        that embeds into the host whose vertex v has nonzero mask ge1[v] and
+        red mask red[v]; None if no member does.
+
+        ``graph()`` returns the host as a ``ColoredGraph``; it is called at
+        most once, and only when a member without the two-level shape is
+        reached.  With ``raised = (x, y)`` the host must have been
+        family-free before its pair xy was raised.  Then every copy of a
+        two-level member contains x and y, and its other vertices are
+        nonzero to both, since all pairs of such a member are nonzero; its
+        clique search starts from that vertex set.  The generic members are
+        always searched on the whole host.  A two-level hit is re-checked
+        pair by pair against the masks before it is returned."""
+        n = len(ge1)
+        if raised is None:
+            start = (1 << n) - 1
+        else:
+            x, y = raised
+            start = ge1[x] & ge1[y] | 1 << x | 1 << y
+        host = None
+        for idx, member, shape, layout in self._plan:
             if shape is None:
+                if host is None:
+                    host = graph()
                 emb = find_embedding(member, host)
                 if emb is not None:
                     return idx, emb
@@ -306,25 +336,44 @@ class FamilyChecker:
             o, i = shape
             if o > n:
                 continue
-            found = _two_level_cliques(ge1, red, n, o, i)
+            found = _two_level_cliques(ge1, red, o, i, start)
             if found is not None:
                 image = [0] * o
-                for u, h in zip(reds + blues, found[0] + found[1]):
+                for u, h in zip(layout, found[0] + found[1]):
                     image[u] = h
-                return idx, _checked(member, host, Embedding(tuple(image)))
+                return idx, _checked(member, _MaskHost(ge1, red), Embedding(tuple(image)))
         return None
+
+    def witness(self, host: ColoredGraph) -> Optional[tuple[int, Embedding]]:
+        """(family index, embedding) of the first member that embeds, or None."""
+        return self.first_copy(host._ge1, host._red, lambda: host)
 
     def is_free_graph(self, g: ColoredGraph) -> bool:
         return self.witness(g) is None
 
 
+class _MaskHost:
+    """The weights of a host given by its per-vertex nonzero and red masks,
+    for ``verify_embedding``, which reads only ``n`` and ``weight``."""
+
+    __slots__ = ("n", "_ge1", "_red")
+
+    def __init__(self, ge1, red):
+        self.n = len(ge1)
+        self._ge1 = ge1
+        self._red = red
+
+    def weight(self, x: int, y: int) -> int:
+        return 2 if self._red[x] >> y & 1 else self._ge1[x] >> y & 1
+
+
 def _two_level_cliques(
-    ge1, red, n: int, o: int, i: int
+    ge1, red, o: int, i: int, start: int
 ) -> Optional[tuple[list[int], list[int]]]:
     """A red i-clique and an (o-i)-clique of nonzero pairs inside its common
-    nonzero neighbourhood, as (red vertices, blue vertices); None if the
-    host has none.  Vertices are tried in ascending order, so the witness is
-    deterministic."""
+    nonzero neighbourhood, all within the vertex set ``start``, as (red
+    vertices, blue vertices); None if the host has none.  Vertices are
+    tried in ascending order, so the witness is deterministic."""
     k = o - i
 
     def red_part(cand: int, need: int, common: int, acc: list[int]):
@@ -348,8 +397,7 @@ def _two_level_cliques(
                     return res
         return None
 
-    full = (1 << n) - 1
     if i == 0:
-        blues = find_clique(ge1, full, k)
+        blues = find_clique(ge1, start, k)
         return None if blues is None else ([], blues)
-    return red_part(full, i, full, [])
+    return red_part(start, i, start, [])

@@ -370,11 +370,15 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     weights in {0..weight_cap}.
 
     Branch and bound over pairs in lexicographic order, larger weights
-    first; the bound is current sum + cap * pairs remaining.  The all-green
-    root and every node with a positive new weight are checked with one
-    ``FamilyChecker`` compiled for the search; the value is None when the
-    root already contains a member.  The witness is re-checked with the
-    generic backtracker.
+    first; the bound is current sum + cap * pairs remaining.  One
+    ``FamilyChecker`` compiled for the search checks the all-green root
+    first; the value is None when the root already contains a member.
+    Every accepted node is family-free, so a node with a positive new
+    weight on pair xy is tested only for copies through x and y
+    (``FamilyChecker.first_copy``), on per-vertex nonzero and red masks
+    that are set when a weight is tried and cleared on backtrack; no graph
+    is built per node.  The witness is re-checked with the generic
+    backtracker.
     """
     if n > EX_BOUND:
         raise ValueError("extremal search bound %d exceeded (n=%d)" % (EX_BOUND, n))
@@ -385,10 +389,16 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     t0 = time.perf_counter()
     checker = FamilyChecker(family)
     m = num_pairs(n)
+    pairs = pair_list(n)
     digits = [0] * m
+    ge1 = [0] * n
+    red = [0] * n
     best = -1
     best_digits: Optional[list[int]] = None
     nodes = 0
+
+    def graph() -> ColoredGraph:
+        return ColoredGraph.from_digits(n, digits)
 
     def rec(d: int, total: int) -> None:
         nonlocal best, best_digits, nodes
@@ -398,15 +408,29 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
             best = total
             best_digits = list(digits)
             return
+        x, y = pairs[d]
+        bx, by = 1 << x, 1 << y
+        # Weights are tried downwards, so red is cleared at w = 1 and
+        # nonzero at w = 0; the pair is green again when the loop ends.
         for w in range(weight_cap, -1, -1):
             nodes += 1
             digits[d] = w
-            if w > 0:
-                if not checker.is_free_graph(ColoredGraph.from_digits(n, digits)):
-                    digits[d] = 0
-                    continue
+            if w == 2:
+                ge1[x] |= by
+                ge1[y] |= bx
+                red[x] |= by
+                red[y] |= bx
+            elif w == 1:
+                ge1[x] |= by
+                ge1[y] |= bx
+                red[x] &= ~by
+                red[y] &= ~bx
+            else:
+                ge1[x] &= ~by
+                ge1[y] &= ~bx
+            if w and checker.first_copy(ge1, red, graph, (x, y)) is not None:
+                continue
             rec(d + 1, total + w)
-            digits[d] = 0
 
     # A member that embeds in the all-green root embeds in every graph of
     # order n, e.g. one with no nonzero pair and at most n vertices.

@@ -234,6 +234,14 @@ class TestEx:
         assert payload["parameters"]["family"] == "F:4"
         validate(schema, payload)
 
+    def test_reach_n7(self, capsys, schema):
+        # One order above the benchmark's ex ops; about 1.6 s on a 2-core Xeon.
+        code, payload = run_json(capsys, ["ex", "--n", "7", "--family", "F:4", "--json"])
+        assert code == 0
+        assert payload["value"] == 12
+        assert payload["statistics"]["nodes"] == 249507
+        validate(schema, payload)
+
     def test_edgeless_member_has_no_value(self, tmp_path, capsys, schema):
         path = tmp_path / "f.cwg"
         path.write_text("cwg 2\n0\n", encoding="ascii")

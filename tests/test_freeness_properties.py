@@ -1,11 +1,13 @@
-"""Property tests: the compiled freeness engine behind is_free against the
-generic backtracker, on hosts of order at most 7."""
+"""Property tests: the compiled freeness engine behind is_free, and its
+search for copies through a raised pair, against the generic backtracker,
+on hosts of order at most 7."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cwg.core import ColoredGraph, num_pairs
+from cwg.core import ColoredGraph, num_pairs, pair_list
 from cwg.constructions import gen_family, gen_j
 from cwg.embedding import FamilyChecker, find_embedding, is_free, verify_embedding
+from cwg.search import _reference_is_free
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
@@ -42,3 +44,41 @@ def test_compiled_matches_backtracker(host, family):
     assert verify_embedding(family[idx], host, emb)
     # Smallest order first, ties broken by family index.
     assert (family[idx].n, idx) == min((f.n, i) for i, f in enumerate(family) if embeds[i])
+
+
+@st.composite
+def raised_free_graphs(draw):
+    """(family, F-free graph, pair (x, y), graph with xy raised).  The free
+    graph takes drawn weights pair by pair, each lowered until the generic
+    backtracker finds the graph so far free; then one pair goes up."""
+    family = draw(families())
+    n = draw(st.integers(2, 7))
+    pairs = pair_list(n)
+    digits = [0] * len(pairs)
+    for p in range(len(pairs)):
+        for w in range(draw(st.integers(0, 2)), 0, -1):
+            digits[p] = w
+            if _reference_is_free(ColoredGraph.from_digits(n, digits), family):
+                break
+            digits[p] = 0
+    p = draw(st.sampled_from([p for p in range(len(pairs)) if digits[p] < 2] or [None]))
+    assume(p is not None)
+    before = ColoredGraph.from_digits(n, digits)
+    digits[p] = draw(st.integers(digits[p] + 1, 2))
+    return family, before, pairs[p], ColoredGraph.from_digits(n, digits)
+
+
+@PROPERTY
+@given(raised_free_graphs())
+def test_copies_through_raised_pair(case):
+    family, before, (x, y), after = case
+    assert _reference_is_free(before, family)
+    ge1 = [after.ge1_mask(v) for v in range(after.n)]
+    red = [after.red_mask(v) for v in range(after.n)]
+    hit = FamilyChecker(family).first_copy(ge1, red, lambda: after, (x, y))
+    assert (hit is None) == _reference_is_free(after, family)
+    if hit is not None:
+        idx, emb = hit
+        assert verify_embedding(family[idx], after, emb)
+        # A copy that avoids x or y would already be a copy in the free graph.
+        assert x in emb.map and y in emb.map

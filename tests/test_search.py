@@ -366,9 +366,11 @@ class TestComputeEx:
             assert compute_ex(n, gen_family(4), 2).value == expected
 
     def test_brute_force_cross_check(self):
+        # The mixed family adds J(3), a member without the two-level shape
+        # that F:7 does not contain: at n = 4 it lowers the value from 10 to 9.
+        families = [gen_family(4), gen_family(5), gen_family(7) + [gen_j(3).graph]]
         for n in (2, 3, 4):
-            for t in (4, 5):
-                fam = gen_family(t)
+            for fam in families:
                 best = max(
                     (
                         edge_weight_sum(g)
@@ -378,6 +380,21 @@ class TestComputeEx:
                     default=None,
                 )
                 assert compute_ex(n, fam, 2).value == best
+
+    @pytest.mark.parametrize(
+        "n, t, cap, value, nodes, witness",
+        [
+            (6, 5, 2, 18, 67458, "222000022022220"),
+            (6, 4, 2, 9, 12510, "111000011011110"),
+            (6, 5, 1, 12, 780, "111101101011111"),
+            (5, 3, 2, 0, 30, "0000000000"),
+        ],
+    )
+    def test_search_tree_is_pinned(self, n, t, cap, value, nodes, witness):
+        # Counts of the search that tested every node's whole graph;
+        # testing only copies through the raised pair visits the same nodes.
+        rep = compute_ex(n, gen_family(t), cap)
+        assert (rep.value, rep.statistics["nodes"], rep.witness.upper_string()) == (value, nodes, witness)
 
     def test_red_edge_forbidden_gives_blue_clique(self):
         rep = compute_ex(3, [gen_rk(2)], 2)

@@ -53,6 +53,23 @@ def test_ex_witness_is_rechecked(monkeypatch):
         search.compute_ex(4, gen_family(4))
 
 
+def test_ex_node_hit_is_rechecked(monkeypatch):
+    """A clique search that reports vertices 0..o-1 where a copy through the
+    raised pair was ruled out must stop compute_ex, not prune the node and
+    lower the value.  The root check keeps the real search."""
+    original = embedding._two_level_cliques
+
+    def false_hit(ge1, red, o, i, start):
+        found = original(ge1, red, o, i, start)
+        if found is not None or start == (1 << len(ge1)) - 1:
+            return found
+        return list(range(i)), list(range(i, o))
+
+    monkeypatch.setattr(embedding, "_two_level_cliques", false_hit)
+    with pytest.raises(SelfCheckError, match="verify_embedding"):
+        search.compute_ex(5, gen_family(5))
+
+
 @pytest.mark.parametrize(
     "run",
     [
