@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .core import ColoredGraph, SelfCheckError, even_threshold, min_degree, pair_list
 from .constructions import gen_family
-from .embedding import Embedding, FamilyChecker, find_clique, find_embedding, is_free
+from .embedding import Embedding, FamilyChecker, MaskHost, find_clique, find_embedding, is_free
 from .homomorphism import HomCertificate, verify_certificate
 
 
@@ -67,8 +67,8 @@ def extremal_completion(
     graph.  One ``FamilyChecker`` compiled for the completion checks the
     whole input.  The current graph stays family-free, so each raise is
     tested only for copies through the raised pair
-    (``FamilyChecker.first_copy``), on per-vertex masks kept up to date
-    here; a graph is built for each accepted raise.
+    (``FamilyChecker.witness`` with ``raised``) on one ``MaskHost`` that
+    holds the current weights; the result graph is built once at the end.
     """
     checker = FamilyChecker(family)
     witness = checker.witness(g)
@@ -80,8 +80,8 @@ def extremal_completion(
         raise ValueError("the random completion policy needs a seed (--seed)")
     rng = random.Random(seed) if policy == "random" else None
     pairs = list(pair_list(g.n))
-    ge1 = [g.ge1_mask(v) for v in range(g.n)]
-    red = [g.red_mask(v) for v in range(g.n)]
+    host = MaskHost(g._ge1, g._red)
+    ge1, red = host._ge1, host._red
     changed = True
     while changed:
         changed = False
@@ -89,20 +89,19 @@ def extremal_completion(
         if rng is not None:
             rng.shuffle(order)
         for x, y in order:
-            w = g.weight(x, y)
+            w = host.weight(x, y)
             if w == 2:
                 continue
             # Raise xy to w + 1 on the masks: nonzero from green, red from blue.
             masks = red if w else ge1
             masks[x] |= 1 << y
             masks[y] |= 1 << x
-            if checker.first_copy(ge1, red, lambda: g.with_weight(x, y, w + 1), (x, y)) is None:
-                g = g.with_weight(x, y, w + 1)
+            if checker.witness(host, (x, y)) is None:
                 changed = True
             else:
                 masks[x] &= ~(1 << y)
                 masks[y] &= ~(1 << x)
-    return g
+    return ColoredGraph.from_digits(g.n, host.digits())
 
 
 def find_wicked(g: ColoredGraph, blue_only: bool = False) -> list[tuple[int, int, int]]:
@@ -199,11 +198,7 @@ def _blue_bipartition(g: ColoredGraph, cls: list[int]):
     return (b, c), None
 
 
-def decompose(
-    g: ColoredGraph,
-    r: int,
-    family: Optional[list[ColoredGraph]] = None,
-) -> Union[HomCertificate, FailureDiagnosis]:
+def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis]:
     """Turn the structure forced above the even-family bound into a certificate.
 
     Steps: (1) no wicked triangles, (2) classes of the weight-<=1 relation,
@@ -218,9 +213,7 @@ def decompose(
     """
     if r < 3:
         raise ValueError("need r >= 3")
-    if family is None:
-        family = gen_family(2 * r)
-    free_ok, _ = is_free(g, family)
+    free_ok, _ = is_free(g, gen_family(2 * r))
     threshold = even_threshold(r)
     degree_ok = g.n >= 1 and threshold.exceeds(min_degree(g), g.n)
 

@@ -40,6 +40,7 @@ from .constructions import (
 )
 from .embedding import is_free
 from .homomorphism import (
+    DEFAULT_NODE_BUDGET,
     HomCertificate,
     SearchBudgetExceeded,
     search_hom_general,
@@ -384,7 +385,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hom", help="search a homomorphism into a target")
     p.add_argument("--target", required=True, help="rk:<r>, rkminus:<r> or file:<path>")
-    p.add_argument("--budget", type=int, default=10 ** 9)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hom)

@@ -30,12 +30,6 @@ class PartitionedConstruction:
         if sorted(covered) != list(range(self.graph.n)):
             raise ValueError("parts do not partition the vertex set")
 
-    def part_of(self, v: int) -> str:
-        for name, rng in self.parts.items():
-            if v in rng:
-                return name
-        raise IndexError("vertex %d out of range" % v)
-
     def parts_json(self) -> dict[str, list[int]]:
         """JSON-friendly part map: name -> [start, stop) index range."""
         return {name: [rng.start, rng.stop] for name, rng in self.parts.items()}

@@ -4,12 +4,15 @@ A pattern embeds into a host when an injective vertex map makes every host
 weight dominate the corresponding pattern weight.  Only pattern pairs of
 weight >= 1 constrain the search; green pattern pairs are free.
 
-Two engines answer the containment question.  ``find_embedding`` is the
-generic backtracker and the reference implementation.  ``FamilyChecker``
+Every search reads one host view: ``n``, the per-vertex nonzero and red
+bitmasks ``_ge1`` / ``_red`` and ``weight``.  ``ColoredGraph`` is such a
+host; so is ``MaskHost``, whose mask lists a search that raises one pair
+at a time updates in place.  ``find_embedding`` is the generic
+backtracker and the reference implementation.  ``FamilyChecker``
 compiles a family once: members that are a red clique fully joined to a
 blue clique (every member of the standard families) become bitmask clique
 searches, and only the remaining members go to the backtracker.  Its one
-search loop, ``FamilyChecker.first_copy``, tests a whole host or only the
+search method, ``FamilyChecker.witness``, tests a whole host or only the
 copies through a pair just raised in a family-free graph.  The same
 compilation gives the raw scan its pair conditions
 (``FamilyChecker.conditions``).  ``is_free`` runs on the compiled engine.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import ColoredGraph, SelfCheckError, pair_list, pair_pos
 
@@ -31,7 +34,7 @@ class Embedding:
     map: tuple[int, ...]
 
 
-def verify_embedding(pattern: ColoredGraph, host: ColoredGraph, emb: Embedding) -> bool:
+def verify_embedding(pattern: ColoredGraph, host: ColoredGraph | MaskHost, emb: Embedding) -> bool:
     """Check the dominance inequality directly; independent of any search."""
     if len(emb.map) != pattern.n:
         return False
@@ -45,7 +48,7 @@ def verify_embedding(pattern: ColoredGraph, host: ColoredGraph, emb: Embedding) 
     return True
 
 
-def _checked(pattern: ColoredGraph, host: ColoredGraph, emb: Embedding) -> Embedding:
+def _checked(pattern: ColoredGraph, host: ColoredGraph | MaskHost, emb: Embedding) -> Embedding:
     """Return a search's embedding after re-checking it with verify_embedding."""
     if not verify_embedding(pattern, host, emb):
         raise SelfCheckError("embedding %r fails verify_embedding" % (emb.map,))
@@ -74,41 +77,30 @@ def _search_order(pattern: ColoredGraph) -> list[int]:
 
 
 def _extend(
-    pattern: ColoredGraph,
-    host: ColoredGraph,
     order: list[int],
+    needs: list[list[tuple[int, int]]],
+    allowed: list[int],
+    ge1,
+    red,
     depth: int,
-    image: dict[int, int],
+    image: list[int],
     used: int,
-    host_ge1_count,
-    host_red_count,
-    pat_ge1_count,
-    pat_red_count,
-) -> Optional[dict[int, int]]:
+) -> Optional[list[int]]:
+    """Place order[depth:] given image of order[:depth]; the candidates of
+    a pattern vertex are one mask, tried in ascending order."""
     if depth == len(order):
         return image
     u = order[depth]
-    need = [(image[v], pattern.weight(u, v)) for v in order[:depth]]
-    for h in range(host.n):
-        if used >> h & 1:
-            continue
-        # Weight-class count pruning: h must carry enough red / nonzero pairs.
-        if host_red_count[h] < pat_red_count[u] or host_ge1_count[h] < pat_ge1_count[u]:
-            continue
-        ok = True
-        for himg, w in need:
-            if w and host.weight(h, himg) < w:
-                ok = False
-                break
-        if ok:
-            image[u] = h
-            res = _extend(
-                pattern, host, order, depth + 1, image, used | (1 << h),
-                host_ge1_count, host_red_count, pat_ge1_count, pat_red_count,
-            )
-            if res is not None:
-                return res
-            del image[u]
+    cand = allowed[u] & ~used
+    for v, w in needs[depth]:
+        cand &= red[image[v]] if w == 2 else ge1[image[v]]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        image[u] = low.bit_length() - 1
+        res = _extend(order, needs, allowed, ge1, red, depth + 1, image, used | low)
+        if res is not None:
+            return res
     return None
 
 
@@ -123,26 +115,41 @@ def _dominated(pattern_counts: list[int], host_counts: list[int]) -> bool:
     )
 
 
-def find_embedding(pattern: ColoredGraph, host: ColoredGraph) -> Optional[Embedding]:
-    """Backtracking search for a weight-dominating injection; None if absent."""
+def find_embedding(pattern: ColoredGraph, host: ColoredGraph | MaskHost) -> Optional[Embedding]:
+    """Backtracking search for a weight-dominating injection; None if absent.
+
+    Reads only the host's masks.  A pattern vertex may go to a host vertex
+    with at least as many red and nonzero pairs (count pruning), unused, and
+    red or nonzero to the image of each placed neighbour joined to it by a
+    red or blue pair."""
     if pattern.n > host.n:
         return None
     if pattern.n == 0:
         return Embedding(())
-    order = _search_order(pattern)
-    host_ge1_count = [host.ge1_mask(v).bit_count() for v in range(host.n)]
-    host_red_count = [host.red_mask(v).bit_count() for v in range(host.n)]
-    pat_ge1_count = [pattern.ge1_mask(v).bit_count() for v in range(pattern.n)]
-    pat_red_count = [pattern.red_mask(v).bit_count() for v in range(pattern.n)]
+    ge1, red = host._ge1, host._red
+    host_ge1_count = [mask.bit_count() for mask in ge1]
+    host_red_count = [mask.bit_count() for mask in red]
+    pat_ge1_count = [mask.bit_count() for mask in pattern._ge1]
+    pat_red_count = [mask.bit_count() for mask in pattern._red]
     if not (_dominated(pat_ge1_count, host_ge1_count) and _dominated(pat_red_count, host_red_count)):
         return None
-    image = _extend(
-        pattern, host, order, 0, {}, 0,
-        host_ge1_count, host_red_count, pat_ge1_count, pat_red_count,
-    )
+    allowed = [
+        sum(
+            1 << h
+            for h in range(host.n)
+            if host_red_count[h] >= pat_red_count[u] and host_ge1_count[h] >= pat_ge1_count[u]
+        )
+        for u in range(pattern.n)
+    ]
+    order = _search_order(pattern)
+    needs = [
+        [(v, pattern.weight(u, v)) for v in order[:depth] if pattern.weight(u, v)]
+        for depth, u in enumerate(order)
+    ]
+    image = _extend(order, needs, allowed, ge1, red, 0, [0] * pattern.n, 0)
     if image is None:
         return None
-    return _checked(pattern, host, Embedding(tuple(image[u] for u in range(pattern.n))))
+    return _checked(pattern, host, Embedding(tuple(image)))
 
 
 def is_free(
@@ -246,15 +253,15 @@ class FamilyChecker:
     Members with the red-clique-over-blue shape are tested with bitmask
     clique searches (``_two_level_cliques``) on the host's per-vertex
     nonzero and red masks; anything else goes to the generic
-    ``find_embedding``.  Members are tried in one order, smallest order
-    first and ties by family index, so the first hit is the witness
-    ``is_free`` promises.
+    ``find_embedding`` on the same host.  Members are tried in one order,
+    smallest order first and ties by family index, so the first hit is the
+    witness ``is_free`` promises.
 
-    ``first_copy`` is the one search loop.  ``witness`` runs it on a whole
-    host.  A search that raises one pair at a time in a family-free graph
-    runs it on the copies through the raised pair only, on masks it keeps
-    up to date itself, and so builds no graph per step.  Build one checker
-    per search and reuse it for every host the search tests.
+    ``witness`` is the one search method, on a whole host or, for a search
+    that raises one pair at a time in a family-free graph, on the copies
+    through the raised pair only; such a search keeps one ``MaskHost`` up
+    to date and builds no graph per step.  Build one checker per search
+    and reuse it for every host the search tests.
     """
 
     def __init__(self, family: list[ColoredGraph]):
@@ -298,37 +305,28 @@ class FamilyChecker:
                     conditions.append((tuple(red_positions), tuple(ge1_positions)))
         return conditions
 
-    def first_copy(
-        self,
-        ge1,
-        red,
-        graph: Callable[[], ColoredGraph],
-        raised: Optional[tuple[int, int]] = None,
+    def witness(
+        self, host: ColoredGraph | MaskHost, raised: Optional[tuple[int, int]] = None
     ) -> Optional[tuple[int, Embedding]]:
         """(family index, embedding) of the first member, in plan order,
-        that embeds into the host whose vertex v has nonzero mask ge1[v] and
-        red mask red[v]; None if no member does.
+        that embeds into host (a ``ColoredGraph`` or ``MaskHost``); None if
+        no member does.
 
-        ``graph()`` returns the host as a ``ColoredGraph``; it is called at
-        most once, and only when a member without the two-level shape is
-        reached.  With ``raised = (x, y)`` the host must have been
-        family-free before its pair xy was raised.  Then every copy of a
-        two-level member contains x and y, and its other vertices are
-        nonzero to both, since all pairs of such a member are nonzero; its
-        clique search starts from that vertex set.  The generic members are
-        always searched on the whole host.  A two-level hit is re-checked
-        pair by pair against the masks before it is returned."""
-        n = len(ge1)
+        With ``raised = (x, y)`` the host must have been family-free before
+        its pair xy was raised.  Then every copy of a two-level member
+        contains x and y, and its other vertices are nonzero to both, since
+        all pairs of such a member are nonzero; its clique search starts
+        from that vertex set.  The generic members are always searched on
+        the whole host.  A two-level hit is re-checked pair by pair before
+        it is returned."""
+        n, ge1, red = host.n, host._ge1, host._red
         if raised is None:
             start = (1 << n) - 1
         else:
             x, y = raised
             start = ge1[x] & ge1[y] | 1 << x | 1 << y
-        host = None
         for idx, member, shape, layout in self._plan:
             if shape is None:
-                if host is None:
-                    host = graph()
                 emb = find_embedding(member, host)
                 if emb is not None:
                     return idx, emb
@@ -341,30 +339,30 @@ class FamilyChecker:
                 image = [0] * o
                 for u, h in zip(layout, found[0] + found[1]):
                     image[u] = h
-                return idx, _checked(member, _MaskHost(ge1, red), Embedding(tuple(image)))
+                return idx, _checked(member, host, Embedding(tuple(image)))
         return None
-
-    def witness(self, host: ColoredGraph) -> Optional[tuple[int, Embedding]]:
-        """(family index, embedding) of the first member that embeds, or None."""
-        return self.first_copy(host._ge1, host._red, lambda: host)
 
     def is_free_graph(self, g: ColoredGraph) -> bool:
         return self.witness(g) is None
 
 
-class _MaskHost:
-    """The weights of a host given by its per-vertex nonzero and red masks,
-    for ``verify_embedding``, which reads only ``n`` and ``weight``."""
+class MaskHost:
+    """A host given by per-vertex nonzero and red mask lists, which its
+    owner updates in place as it raises and lowers pairs."""
 
     __slots__ = ("n", "_ge1", "_red")
 
     def __init__(self, ge1, red):
         self.n = len(ge1)
-        self._ge1 = ge1
-        self._red = red
+        self._ge1 = list(ge1)
+        self._red = list(red)
 
     def weight(self, x: int, y: int) -> int:
         return 2 if self._red[x] >> y & 1 else self._ge1[x] >> y & 1
+
+    def digits(self) -> tuple[int, ...]:
+        """Upper-triangle weights in row-major order, as ``ColoredGraph.digits``."""
+        return tuple(self.weight(x, y) for x, y in pair_list(self.n))
 
 
 def _two_level_cliques(

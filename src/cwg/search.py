@@ -39,7 +39,7 @@ from .core import (
     pair_list,
 )
 from .constructions import gen_family
-from .embedding import FamilyChecker, find_embedding
+from .embedding import FamilyChecker, MaskHost, find_embedding
 from .homomorphism import find_hom_rk, find_hom_rk_minus
 
 EX_BOUND = 8
@@ -238,16 +238,13 @@ def _recheck_counterexample(g, family, threshold, hom) -> None:
         raise SelfCheckError("reported counterexample admits a homomorphism")
 
 
-def _minimize_counterexample(g, family, threshold, hom) -> ColoredGraph:
-    """Greedily lower weights while the graph stays a counterexample."""
-    checker = FamilyChecker(family)
+def _minimize_counterexample(g, threshold, hom) -> ColoredGraph:
+    """Greedily lower weights while the graph stays a counterexample.
+    Lowering a weight cannot create a member copy, since a copy needs every
+    host weight at least the member's, so freeness is not re-tested here."""
 
     def still(c: ColoredGraph) -> bool:
-        if not threshold.exceeds(min_degree(c), c.n):
-            return False
-        if hom(c) is not None:
-            return False
-        return checker.is_free_graph(c)
+        return threshold.exceeds(min_degree(c), c.n) and hom(c) is None
 
     changed = True
     while changed:
@@ -333,7 +330,7 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str) -> SearchReport:
             statistics=statistics,
         )
     _recheck_counterexample(g, family, threshold, hom)
-    g = _minimize_counterexample(g, family, threshold, hom)
+    g = _minimize_counterexample(g, threshold, hom)
     _recheck_counterexample(g, family, threshold, hom)
     return SearchReport(
         kind="theorem_verify",
@@ -375,10 +372,11 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     first; the value is None when the root already contains a member.
     Every accepted node is family-free, so a node with a positive new
     weight on pair xy is tested only for copies through x and y
-    (``FamilyChecker.first_copy``), on per-vertex nonzero and red masks
-    that are set when a weight is tried and cleared on backtrack; no graph
-    is built per node.  The witness is re-checked with the generic
-    backtracker.
+    (``FamilyChecker.witness`` with ``raised``) on one ``MaskHost``, whose
+    masks are set when a weight is tried and cleared on backtrack; no graph
+    and no weight list is kept during the search.  The best weights are
+    read from the host when the incumbent improves, and the witness is
+    re-checked with the generic backtracker.
     """
     if n > EX_BOUND:
         raise ValueError("extremal search bound %d exceeded (n=%d)" % (EX_BOUND, n))
@@ -390,15 +388,11 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     checker = FamilyChecker(family)
     m = num_pairs(n)
     pairs = pair_list(n)
-    digits = [0] * m
-    ge1 = [0] * n
-    red = [0] * n
+    host = MaskHost([0] * n, [0] * n)
+    ge1, red = host._ge1, host._red
     best = -1
-    best_digits: Optional[list[int]] = None
+    best_digits: Optional[tuple[int, ...]] = None
     nodes = 0
-
-    def graph() -> ColoredGraph:
-        return ColoredGraph.from_digits(n, digits)
 
     def rec(d: int, total: int) -> None:
         nonlocal best, best_digits, nodes
@@ -406,7 +400,7 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
             return
         if d == m:
             best = total
-            best_digits = list(digits)
+            best_digits = host.digits()
             return
         x, y = pairs[d]
         bx, by = 1 << x, 1 << y
@@ -414,7 +408,6 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
         # nonzero at w = 0; the pair is green again when the loop ends.
         for w in range(weight_cap, -1, -1):
             nodes += 1
-            digits[d] = w
             if w == 2:
                 ge1[x] |= by
                 ge1[y] |= bx
@@ -428,7 +421,7 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
             else:
                 ge1[x] &= ~by
                 ge1[y] &= ~bx
-            if w and checker.first_copy(ge1, red, graph, (x, y)) is not None:
+            if w and checker.witness(host, (x, y)) is not None:
                 continue
             rec(d + 1, total + w)
 
@@ -526,8 +519,12 @@ def _family_parameter(family: list[ColoredGraph]) -> Optional[int]:
     return None
 
 
-def limiting_density(t: int) -> Fraction:
-    """Reference limit of 2*ex/n^2 for the standard family of parameter t."""
+def limiting_density(t: int) -> Optional[Fraction]:
+    """Reference limit of 2*ex/n^2 for the standard family of parameter t.
+    None for t = 2: F:2 is the single vertex, so no graph of order >= 1
+    avoids it and there is no limit."""
+    if t == 2:
+        return None
     if t % 2:
         return Fraction(2 * (t - 3), t - 1)
     return Fraction(2 * (3 * t - 10), 3 * t - 4)

@@ -97,6 +97,16 @@ class TestExtremalCompletion:
             if w < 2:
                 assert not is_free(a.with_weight(x, y, w + 1), fam)[0]
 
+    def test_completions_are_pinned(self):
+        # J(r) is not two-level, so these runs also pin the generic member's
+        # search on the completion's host.
+        lex = extremal_completion(ColoredGraph.uniform(8, 0), gen_family(5) + [gen_j(3).graph])
+        assert lex.upper_string() == "1111111111111000000000000000"
+        rand = extremal_completion(
+            ColoredGraph.uniform(9, 0), gen_family(6) + [gen_j(4).graph], policy="random", seed=5
+        )
+        assert rand.upper_string() == "101011101111111101110101111110111011"
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             extremal_completion(gen_bk(2), gen_family(4), policy="zigzag")

@@ -282,6 +282,16 @@ class TestDensity:
         assert payload["rows"][0]["density"] == "8/7"
         validate(schema, payload)
 
+    def test_single_vertex_family_has_no_reference(self, tmp_path, capsys, schema):
+        # F:2 is the single vertex: no graph of order >= 1 avoids it.
+        path = tmp_path / "g.cwg"
+        write_cwg(path, gen_rk(3))
+        code, payload = run_json(capsys, ["density", "--family", "F:2", str(path), "--json"])
+        assert code == 0
+        assert payload["rows"][0]["reference"] is None
+        assert payload["rows"][0]["reference_float"] is None
+        validate(schema, payload)
+
 
 class TestErrorsAndDeterminism:
     def test_malformed_cwg_reports_position(self, tmp_path, capsys):
@@ -332,6 +342,9 @@ class TestErrorsAndDeterminism:
         write_cwg(green, ColoredGraph.uniform(10, 0))
         for argv in (
             ["hom", "--target", "rkminus:3", str(path), "--json"],
+            ["check", "--family", "F:6", str(path), "--json"],
+            ["analyze", "--r", "3", str(path), "--json"],
+            ["complete", "--family", "F:6", "--policy", "lex", str(green), "--json"],
             ["complete", "--family", "F:6", "--policy", "random", "--seed", "3", str(green), "--json"],
         ):
             assert main(argv) == 0

@@ -6,6 +6,7 @@ from cwg import embedding
 from cwg.core import ColoredGraph, pair_list
 from cwg.constructions import (
     gen_bk,
+    gen_ehss_blowup,
     gen_even_extremal,
     gen_family,
     gen_gab,
@@ -15,6 +16,7 @@ from cwg.constructions import (
     gen_rk_minus,
 )
 from cwg.embedding import (
+    MaskHost,
     common_red_neighborhood,
     find_embedding,
     is_free,
@@ -93,6 +95,21 @@ class TestFindEmbedding:
         first = find_embedding(p, h)
         for _ in range(3):
             assert find_embedding(p, h) == first
+
+    @pytest.mark.parametrize(
+        "r, host, expected",
+        [
+            (3, gen_even_extremal(3, 1).graph, (0, 6, 12, 14)),
+            (4, gen_odd_extremal(4, 1).graph, (0, 1, 5, 8, 9)),
+            (3, gen_ehss_blowup(3).graph, None),
+        ],
+    )
+    def test_j_maps_are_pinned(self, r, host, expected):
+        # Candidates are tried in ascending host order, so the first
+        # embedding is fixed; the same search reads a MaskHost of the host.
+        for view in (host, MaskHost(host._ge1, host._red)):
+            emb = find_embedding(gen_j(r).graph, view)
+            assert (None if emb is None else emb.map) == expected
 
 
 class TestIsFree:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cwg.core import ColoredGraph, num_pairs, pair_list
 from cwg.constructions import gen_family, gen_j
-from cwg.embedding import FamilyChecker, find_embedding, is_free, verify_embedding
+from cwg.embedding import FamilyChecker, MaskHost, find_embedding, is_free, verify_embedding
 from cwg.search import _reference_is_free
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -73,9 +73,15 @@ def raised_free_graphs(draw):
 def test_copies_through_raised_pair(case):
     family, before, (x, y), after = case
     assert _reference_is_free(before, family)
-    ge1 = [after.ge1_mask(v) for v in range(after.n)]
-    red = [after.red_mask(v) for v in range(after.n)]
-    hit = FamilyChecker(family).first_copy(ge1, red, lambda: after, (x, y))
+    # Raise the pair in place on the free graph's masks, as a search does.
+    host = MaskHost(before._ge1, before._red)
+    host._ge1[x] |= 1 << y
+    host._ge1[y] |= 1 << x
+    if after.weight(x, y) == 2:
+        host._red[x] |= 1 << y
+        host._red[y] |= 1 << x
+    assert host.digits() == after.digits()
+    hit = FamilyChecker(family).witness(host, (x, y))
     assert (hit is None) == _reference_is_free(after, family)
     if hit is not None:
         idx, emb = hit

@@ -234,7 +234,7 @@ class TestCounterexampleMachinery:
         thr = Threshold(3, 5)
         hom = lambda h: find_hom_rk(h, 2)
         _recheck_counterexample(g, fam, thr, hom)
-        small = _minimize_counterexample(g, fam, thr, hom)
+        small = _minimize_counterexample(g, thr, hom)
         _recheck_counterexample(small, fam, thr, hom)
         assert edge_weight_sum(small) <= edge_weight_sum(g)
 
@@ -394,6 +394,21 @@ class TestComputeEx:
         # Counts of the search that tested every node's whole graph;
         # testing only copies through the raised pair visits the same nodes.
         rep = compute_ex(n, gen_family(t), cap)
+        assert (rep.value, rep.statistics["nodes"], rep.witness.upper_string()) == (value, nodes, witness)
+
+    @pytest.mark.parametrize(
+        "n, value, nodes, witness",
+        [
+            (4, 8, 153, "220022"),
+            (5, 12, 3189, "2220002022"),
+            (6, 18, 67458, "222000022022220"),
+        ],
+    )
+    def test_search_tree_with_generic_member_is_pinned(self, n, value, nodes, witness):
+        # J(3) is not two-level, so every node that passes F:5 also runs the
+        # backtracker on the search's mask host.  J(3) contains an F:5
+        # member and never hits, so the tree is F:5's.
+        rep = compute_ex(n, gen_family(5) + [gen_j(3).graph], 2)
         assert (rep.value, rep.statistics["nodes"], rep.witness.upper_string()) == (value, nodes, witness)
 
     def test_red_edge_forbidden_gives_blue_clique(self):
