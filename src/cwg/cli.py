@@ -189,6 +189,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_hom(args) -> int:
+    if args.budget < 0:
+        raise UsageError("--budget must be at least 0, got %d" % args.budget)
     g = read_cwg(args.graph)
     target = args.target
     if target.startswith("rk:"):

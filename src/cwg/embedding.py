@@ -77,8 +77,8 @@ def _search_order(pattern: ColoredGraph) -> list[int]:
 
 
 def _extend(
-    order: list[int],
-    needs: list[list[tuple[int, int]]],
+    order: tuple[int, ...],
+    needs: tuple[tuple[tuple[int, int], ...], ...],
     allowed: list[int],
     ge1,
     red,
@@ -104,15 +104,36 @@ def _extend(
     return None
 
 
-def _dominated(pattern_counts: list[int], host_counts: list[int]) -> bool:
-    """Whether the i-th largest pattern count is at most the i-th largest
-    host count for every i.  An embedding needs this: the i pattern vertices
-    of largest count go to i distinct host vertices that carry at least as
-    much.  It rejects pigeonhole cases that _extend would only refute after
-    trying every placement."""
-    return all(
-        p <= h for p, h in zip(sorted(pattern_counts, reverse=True), sorted(host_counts, reverse=True))
-    )
+def _dominated(pattern_sorted: tuple[int, ...], host_counts: list[int]) -> bool:
+    """Whether the i-th largest pattern count (pattern_sorted, descending)
+    is at most the i-th largest host count for every i.  An embedding needs
+    this: the i pattern vertices of largest count go to i distinct host
+    vertices that carry at least as much.  It rejects pigeonhole cases that
+    _extend would only refute after trying every placement."""
+    return all(p <= h for p, h in zip(pattern_sorted, sorted(host_counts, reverse=True)))
+
+
+class _CompiledPattern:
+    """What an embedding search derives from the pattern alone: the search
+    order, for each vertex of the order its earlier neighbours and their
+    weights, and the per-vertex nonzero and red counts, also sorted
+    descending for the pigeonhole test.  ``find_embedding`` compiles its
+    pattern per call; ``FamilyChecker`` compiles each generic member once
+    and reuses it for every host."""
+
+    __slots__ = ("pattern", "order", "needs", "ge1_count", "red_count", "ge1_sorted", "red_sorted")
+
+    def __init__(self, pattern: ColoredGraph):
+        self.pattern = pattern
+        self.order = tuple(_search_order(pattern))
+        self.needs = tuple(
+            tuple((v, pattern.weight(u, v)) for v in self.order[:depth] if pattern.weight(u, v))
+            for depth, u in enumerate(self.order)
+        )
+        self.ge1_count = tuple(mask.bit_count() for mask in pattern._ge1)
+        self.red_count = tuple(mask.bit_count() for mask in pattern._red)
+        self.ge1_sorted = tuple(sorted(self.ge1_count, reverse=True))
+        self.red_sorted = tuple(sorted(self.red_count, reverse=True))
 
 
 def find_embedding(pattern: ColoredGraph, host: ColoredGraph | MaskHost) -> Optional[Embedding]:
@@ -122,6 +143,12 @@ def find_embedding(pattern: ColoredGraph, host: ColoredGraph | MaskHost) -> Opti
     with at least as many red and nonzero pairs (count pruning), unused, and
     red or nonzero to the image of each placed neighbour joined to it by a
     red or blue pair."""
+    return _embed(_CompiledPattern(pattern), host)
+
+
+def _embed(compiled: _CompiledPattern, host: ColoredGraph | MaskHost) -> Optional[Embedding]:
+    """``find_embedding`` of a compiled pattern."""
+    pattern = compiled.pattern
     if pattern.n > host.n:
         return None
     if pattern.n == 0:
@@ -129,24 +156,15 @@ def find_embedding(pattern: ColoredGraph, host: ColoredGraph | MaskHost) -> Opti
     ge1, red = host._ge1, host._red
     host_ge1_count = [mask.bit_count() for mask in ge1]
     host_red_count = [mask.bit_count() for mask in red]
-    pat_ge1_count = [mask.bit_count() for mask in pattern._ge1]
-    pat_red_count = [mask.bit_count() for mask in pattern._red]
-    if not (_dominated(pat_ge1_count, host_ge1_count) and _dominated(pat_red_count, host_red_count)):
+    if not (
+        _dominated(compiled.ge1_sorted, host_ge1_count) and _dominated(compiled.red_sorted, host_red_count)
+    ):
         return None
     allowed = [
-        sum(
-            1 << h
-            for h in range(host.n)
-            if host_red_count[h] >= pat_red_count[u] and host_ge1_count[h] >= pat_ge1_count[u]
-        )
-        for u in range(pattern.n)
+        sum(1 << h for h in range(host.n) if host_red_count[h] >= r and host_ge1_count[h] >= a)
+        for a, r in zip(compiled.ge1_count, compiled.red_count)
     ]
-    order = _search_order(pattern)
-    needs = [
-        [(v, pattern.weight(u, v)) for v in order[:depth] if pattern.weight(u, v)]
-        for depth, u in enumerate(order)
-    ]
-    image = _extend(order, needs, allowed, ge1, red, 0, [0] * pattern.n, 0)
+    image = _extend(compiled.order, compiled.needs, allowed, ge1, red, 0, [0] * pattern.n, 0)
     if image is None:
         return None
     return _checked(pattern, host, Embedding(tuple(image)))
@@ -252,8 +270,9 @@ class FamilyChecker:
 
     Members with the red-clique-over-blue shape are tested with bitmask
     clique searches (``_two_level_cliques``) on the host's per-vertex
-    nonzero and red masks; anything else goes to the generic
-    ``find_embedding`` on the same host.  Members are tried in one order,
+    nonzero and red masks; anything else goes to the generic backtracker
+    of ``find_embedding`` on the same host, with its search order and counts
+    compiled once here.  Members are tried in one order,
     smallest order first and ties by family index, so the first hit is the
     witness ``is_free`` promises.
 
@@ -266,12 +285,17 @@ class FamilyChecker:
 
     def __init__(self, family: list[ColoredGraph]):
         self.family = list(family)
-        # (family index, member, shape or None, member vertices in the
-        # order of a two-level hit: red clique first, then blue part)
+        # (family index, member, shape or None, prepared): for a two-level
+        # member, prepared lists its vertices in the order of a hit, red
+        # clique first, then blue part; for any other member it is the
+        # member's _CompiledPattern.
         self._plan = []
         for idx in sorted(range(len(self.family)), key=lambda i: (self.family[i].n, i)):
             member = self.family[idx]
             shape = _two_level_shape(member)
+            if shape is None:
+                self._plan.append((idx, member, None, _CompiledPattern(member)))
+                continue
             reds = tuple(v for v in range(member.n) if member.red_mask(v))
             blues = tuple(v for v in range(member.n) if not member.red_mask(v))
             self._plan.append((idx, member, shape, reds + blues))
@@ -325,9 +349,9 @@ class FamilyChecker:
         else:
             x, y = raised
             start = ge1[x] & ge1[y] | 1 << x | 1 << y
-        for idx, member, shape, layout in self._plan:
+        for idx, member, shape, prepared in self._plan:
             if shape is None:
-                emb = find_embedding(member, host)
+                emb = _embed(prepared, host)
                 if emb is not None:
                     return idx, emb
                 continue
@@ -337,7 +361,7 @@ class FamilyChecker:
             found = _two_level_cliques(ge1, red, o, i, start)
             if found is not None:
                 image = [0] * o
-                for u, h in zip(layout, found[0] + found[1]):
+                for u, h in zip(prepared, found[0] + found[1]):
                     image[u] = h
                 return idx, _checked(member, host, Embedding(tuple(image)))
         return None

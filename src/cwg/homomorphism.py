@@ -184,42 +184,72 @@ def _search_hom(
     try is a node.  The quotient, the largest weight between each two
     classes, is kept up to date, and a branch is cut as soon as the quotient
     no longer embeds in the target (``find_embedding``, memoised per
-    quotient)."""
+    quotient).
+
+    A try into a class that holds a vertex at nonzero weight to the vertex
+    being placed ends at once, so one pass over the classes lists the others, and the tries in between are
+    counted in bulk before the next listed one.  Nothing else happens
+    between two tries, so the count, and the try at which the budget runs
+    out, are those of counting every try in turn."""
     n, k = g.n, target.n
-    ge1 = [g.ge1_mask(v) for v in range(n)]
-    red = [g.red_mask(v) for v in range(n)]
+    # Classes hold only vertices placed earlier, so each vertex keeps only
+    # its pairs to those.
+    ge1 = [g.ge1_mask(v) & ((1 << v) - 1) for v in range(n)]
+    red = [g.red_mask(v) & ((1 << v) - 1) for v in range(n)]
     table = _quotient_table(target)
-    # low[c] keeps the fields of the classes d < c in spread (below).
-    low = [(1 << 2 * c * k) - 1 for c in range(k)]
+    # The first try past the budget is number budget + 1 (a search with a
+    # negative budget stops at its first try, as with budget 0).
+    budget = max(budget, 0)
+    # The quotient fields of a blue (1) or red (3) pair from the vertex
+    # being placed to class d: at 2 * d in touched (row entries) and at
+    # 2 * d * k in spread (column entries); zero when no table is kept.
+    track = table is not None
+    row1 = [track << 2 * d for d in range(k)]
+    row3 = [3 * track << 2 * d for d in range(k)]
+    col1 = [track << 2 * d * k for d in range(k)]
+    col3 = [3 * track << 2 * d * k for d in range(k)]
+    # Per class c: c, the number of tries at a vertex up to and including c,
+    # the mask low of the spread fields of the classes d < c, 2 * c, and the
+    # position diag of the entry (c, c).  Shifting spread & low up by 2 * c
+    # gives the entries (d, c) for d < c; shifting touched down by 2 * c and
+    # up to diag gives the entries (c, d) for d > c.
+    per_class = [(c, c + 1, (1 << 2 * c * k) - 1, 2 * c, 2 * c * (k + 1)) for c in range(k)]
     class_mask = [0] * k
     nodes = 0
 
-    def rec(v: int, used: int, q: int) -> Optional[int]:
+    def rec(v: int, q: int) -> Optional[int]:
         nonlocal nodes
         if v == n:
             return q
         gv, rv = ge1[v], red[v]
-        # The fields of v's weight to each class it touches, two bits per
-        # class d: at 2 * d in touched (row entries) and at 2 * d * k in
-        # spread (column entries).
         touched = spread = 0
-        if table is not None:
-            for d in range(used):
-                m = class_mask[d]
-                if gv & m:
-                    field = 3 if rv & m else 1
-                    touched |= field << 2 * d
-                    spread |= field << 2 * d * k
-        for c in range(min(used + 1, k)):
-            nodes += 1
+        # The classes v may join: the open ones without a neighbour of v,
+        # then the first empty one (open classes are never empty).
+        joinable = []
+        width = k
+        for d, m in enumerate(class_mask):
+            if gv & m:
+                if rv & m:
+                    touched |= row3[d]
+                    spread |= col3[d]
+                else:
+                    touched |= row1[d]
+                    spread |= col1[d]
+            else:
+                joinable.append(per_class[d])
+                if not m:
+                    width = d + 1
+                    break
+        done = 0
+        bit = 1 << v
+        for c, upto, low, c2, diag in joinable:
+            nodes += upto - done
+            done = upto
             if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            if gv & class_mask[c]:
-                continue
+                raise SearchBudgetExceeded(budget + 1)
             nq = q
             if touched:
-                # Entries (d, c) for touched d < c and (c, d) for d > c.
-                nq = q | (spread & low[c]) << 2 * c | touched >> 2 * c << 2 * c * (k + 1)
+                nq = q | (spread & low) << c2 | touched >> c2 << diag
                 if nq != q:
                     fits = table.get(nq)
                     if fits is None:
@@ -228,14 +258,17 @@ def _search_hom(
                         fits = table[nq] = _quotient_image(target, nq) is not None
                     if not fits:
                         continue
-            class_mask[c] |= 1 << v
-            leaf = rec(v + 1, max(used, c + 1), nq)
+            class_mask[c] |= bit
+            leaf = rec(v + 1, nq)
             if leaf is not None:
                 return leaf
-            class_mask[c] &= ~(1 << v)
+            class_mask[c] ^= bit
+        nodes += width - done
+        if nodes > budget:
+            raise SearchBudgetExceeded(budget + 1)
         return None
 
-    leaf = rec(0, 0, 0)
+    leaf = rec(0, 0)
     if leaf is None:
         return None, nodes
     image = range(k) if table is None else _quotient_image(target, leaf)

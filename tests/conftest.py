@@ -1,17 +1,21 @@
-"""Shared test helpers: independent brute-force oracles.
+"""Shared test helpers: independent brute-force oracles, and one
+tree-equality oracle.
 
-Everything here deliberately avoids the package's search code paths so that
-tests compare two genuinely different routes to the same answer.
+Everything here except ``reference_search_hom`` deliberately avoids the
+package's search code paths so that tests compare two genuinely different
+routes to the same answer.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Optional
 
 import pytest
 
 from cwg.core import ColoredGraph, num_pairs, pair_list
+from cwg.homomorphism import SearchBudgetExceeded, _TABLE_LIMIT, _quotient_image, _quotient_table
 
 
 def brute_force_embeds(pattern: ColoredGraph, host: ColoredGraph) -> bool:
@@ -90,6 +94,87 @@ def chromatic_le(g: ColoredGraph, r: int) -> bool:
         return False
 
     return cover((1 << n) - 1, r)
+
+
+# Tree-equality oracle: homomorphism._search_hom as it was before its
+# per-node rewrite, copied unchanged.  The package's search must return the
+# same (classes, nodes), or raise SearchBudgetExceeded with the same .nodes,
+# and fill _quotient_table with the same entries.  It shares the quotient
+# test and table with the package, so unlike the oracles above it is not an
+# independent route to the answer.
+def reference_search_hom(
+    g: ColoredGraph, target: ColoredGraph, budget: int
+) -> tuple[Optional[tuple[frozenset[int], ...]], int]:
+    """The homomorphism search behind every target: (classes, nodes), where
+    classes[t] is the preimage of target vertex t, or None when g has no
+    homomorphism into the target.
+
+    Preimages are green cliques, so the search partitions g into at most
+    k = target.n green cliques.  Vertices are placed in index order, each
+    into an open class or the next new one (the first vertex of a new class
+    is the least unassigned one), which visits every partition once; every
+    try is a node.  The quotient, the largest weight between each two
+    classes, is kept up to date, and a branch is cut as soon as the quotient
+    no longer embeds in the target (``find_embedding``, memoised per
+    quotient)."""
+    n, k = g.n, target.n
+    ge1 = [g.ge1_mask(v) for v in range(n)]
+    red = [g.red_mask(v) for v in range(n)]
+    table = _quotient_table(target)
+    # low[c] keeps the fields of the classes d < c in spread (below).
+    low = [(1 << 2 * c * k) - 1 for c in range(k)]
+    class_mask = [0] * k
+    nodes = 0
+
+    def rec(v: int, used: int, q: int) -> Optional[int]:
+        nonlocal nodes
+        if v == n:
+            return q
+        gv, rv = ge1[v], red[v]
+        # The fields of v's weight to each class it touches, two bits per
+        # class d: at 2 * d in touched (row entries) and at 2 * d * k in
+        # spread (column entries).
+        touched = spread = 0
+        if table is not None:
+            for d in range(used):
+                m = class_mask[d]
+                if gv & m:
+                    field = 3 if rv & m else 1
+                    touched |= field << 2 * d
+                    spread |= field << 2 * d * k
+        for c in range(min(used + 1, k)):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(nodes)
+            if gv & class_mask[c]:
+                continue
+            nq = q
+            if touched:
+                # Entries (d, c) for touched d < c and (c, d) for d > c.
+                nq = q | (spread & low[c]) << 2 * c | touched >> 2 * c << 2 * c * (k + 1)
+                if nq != q:
+                    fits = table.get(nq)
+                    if fits is None:
+                        if len(table) >= _TABLE_LIMIT:
+                            table.clear()
+                        fits = table[nq] = _quotient_image(target, nq) is not None
+                    if not fits:
+                        continue
+            class_mask[c] |= 1 << v
+            leaf = rec(v + 1, max(used, c + 1), nq)
+            if leaf is not None:
+                return leaf
+            class_mask[c] &= ~(1 << v)
+        return None
+
+    leaf = rec(0, 0, 0)
+    if leaf is None:
+        return None, nodes
+    image = range(k) if table is None else _quotient_image(target, leaf)
+    classes = [frozenset()] * k
+    for c, t in enumerate(image):
+        classes[t] = frozenset(v for v in range(n) if class_mask[c] >> v & 1)
+    return tuple(classes), nodes
 
 
 def random_graph(rng: random.Random, n: int) -> ColoredGraph:

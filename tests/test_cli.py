@@ -155,6 +155,14 @@ class TestHom:
         assert main(argv) == 3
         assert capsys.readouterr().out.startswith("unknown")
 
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "g.cwg"
+        write_cwg(path, gen_even_extremal(3, 2).graph)
+        assert main(["hom", "--budget", "-1", "--target", "rkminus:3", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --budget must be at least 0, got -1"]
+
 
 class TestAnalyze:
     def test_j4(self, tmp_path, capsys, schema):

@@ -1,14 +1,23 @@
 """Property tests: the homomorphism search behind find_hom_rk,
 find_hom_rk_minus and find_hom_general against trying every vertex map, on
-graphs of order at most 6 and targets of order at most 4."""
+graphs of order at most 6 and targets of order at most 4, and against the
+reference search tree on graphs of order at most 9."""
 
 from hypothesis import given, settings, strategies as st
 
+from cwg import homomorphism
 from cwg.core import ColoredGraph, num_pairs, pair_list
 from cwg.constructions import gen_rk, gen_rk_minus
-from cwg.homomorphism import find_hom_general, find_hom_rk, find_hom_rk_minus, verify_certificate
+from cwg.homomorphism import (
+    DEFAULT_NODE_BUDGET,
+    SearchBudgetExceeded,
+    find_hom_general,
+    find_hom_rk,
+    find_hom_rk_minus,
+    verify_certificate,
+)
 
-from conftest import brute_force_hom
+from conftest import brute_force_hom, reference_search_hom
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
@@ -64,3 +73,35 @@ def test_general_matches_brute_force(g, target):
     if cert is not None:
         assert cert.target == target and len(cert.classes) == target.n
         assert verify_certificate(g, cert)
+
+
+@st.composite
+def tree_targets(draw):
+    """gen_rk(2..4), gen_rk_minus(2..4) or a random target of order 3 or 4."""
+    kind = draw(st.sampled_from(["rk", "rk_minus", "random"]))
+    if kind == "rk":
+        return gen_rk(draw(st.integers(2, 4)))
+    if kind == "rk_minus":
+        return gen_rk_minus(draw(st.integers(2, 4)))
+    return draw(graphs(4, 3))
+
+
+def _run_on_fresh_table(search, g, target, budget):
+    """(classes, nodes), or ("budget", nodes) when the budget runs out, and
+    the quotient table's entries in the order the search made them."""
+    homomorphism._quotient_table.cache_clear()
+    try:
+        outcome = search(g, target, budget)
+    except SearchBudgetExceeded as exc:
+        outcome = ("budget", exc.nodes)
+    table = homomorphism._quotient_table(target)
+    homomorphism._quotient_table.cache_clear()
+    return outcome, None if table is None else list(table.items())
+
+
+@PROPERTY
+@given(graphs(9), tree_targets(), st.sampled_from([1, 5, 20, DEFAULT_NODE_BUDGET]))
+def test_search_visits_the_reference_tree(g, target, budget):
+    assert _run_on_fresh_table(homomorphism._search_hom, g, target, budget) == _run_on_fresh_table(
+        reference_search_hom, g, target, budget
+    )

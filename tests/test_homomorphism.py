@@ -242,6 +242,41 @@ class TestBudget:
         result = search_hom_rk(gen_rk(3), 3)
         assert result.exists and result.nodes > 0
 
+    @pytest.mark.parametrize(
+        "search, graph, r, nodes",
+        [
+            (search_hom_rk, gen_odd_extremal(3, 1).graph, 3, 39),
+            (search_hom_rk_minus, gen_ehss_blowup(4).graph, 4, 27),
+        ],
+        ids=["rk3-odd-extremal-3-1", "rkminus4-ehss-blowup-4"],
+    )
+    def test_budget_boundary(self, search, graph, r, nodes):
+        # A search of N nodes answers within budget N and stops at try N
+        # within budget N - 1, whether it ends at a leaf or after its last try.
+        assert search(graph, r).nodes == nodes
+        assert search(graph, r, budget=nodes).nodes == nodes
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search(graph, r, budget=nodes - 1)
+        assert exc.value.nodes == nodes
+
+
+class TestBenchTrees:
+    @pytest.mark.parametrize(
+        "search, graph, r, nodes",
+        [
+            (search_hom_rk, gen_odd_extremal(4, 3).graph, 4, 44_882),
+            (search_hom_rk_minus, gen_even_extremal(3, 2).graph, 3, 484_576),
+            (search_hom_rk_minus, gen_even_extremal(5, 1).graph, 5, 568_691),
+        ],
+        ids=["rk4-odd-extremal-4-3", "rkminus3-even-extremal-3-2", "rkminus5-even-extremal-5-1"],
+    )
+    def test_node_counts_are_pinned(self, search, graph, r, nodes):
+        # The hom ops of the host_queries benchmark, hosts in generator
+        # layout.  A change that only lowers the cost per node keeps these
+        # counts; one that prunes or reorders the search updates them.
+        result = search(graph, r)
+        assert (result.exists, result.nodes) == (False, nodes)
+
 
 class TestQuotientTable:
     def test_red_clique_quotient_into_rk_minus_is_cheap(self, monkeypatch):
