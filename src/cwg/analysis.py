@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .core import ColoredGraph, SelfCheckError, even_threshold, min_degree, pair_list
-from .constructions import gen_family
+from .constructions import gen_family, gen_j
 from .embedding import Embedding, FamilyChecker, MaskHost, find_clique, find_embedding, is_free
 from .homomorphism import HomCertificate, verify_certificate
 
@@ -68,7 +68,9 @@ def extremal_completion(
     whole input.  The current graph stays family-free, so each raise is
     tested only for copies through the raised pair
     (``FamilyChecker.witness`` with ``raised``) on one ``MaskHost`` that
-    holds the current weights; the result graph is built once at the end.
+    holds the current weights: ``MaskHost.set`` raises the pair and, when a
+    member appears, puts its weight back.  The result graph is built once
+    at the end.
     """
     checker = FamilyChecker(family)
     witness = checker.witness(g)
@@ -81,7 +83,6 @@ def extremal_completion(
     rng = random.Random(seed) if policy == "random" else None
     pairs = list(pair_list(g.n))
     host = MaskHost(g._ge1, g._red)
-    ge1, red = host._ge1, host._red
     changed = True
     while changed:
         changed = False
@@ -92,15 +93,11 @@ def extremal_completion(
             w = host.weight(x, y)
             if w == 2:
                 continue
-            # Raise xy to w + 1 on the masks: nonzero from green, red from blue.
-            masks = red if w else ge1
-            masks[x] |= 1 << y
-            masks[y] |= 1 << x
+            host.set(x, y, w + 1)
             if checker.witness(host, (x, y)) is None:
                 changed = True
             else:
-                masks[x] &= ~(1 << y)
-                masks[y] &= ~(1 << x)
+                host.set(x, y, w)
     return ColoredGraph.from_digits(g.n, host.digits())
 
 
@@ -326,8 +323,6 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
 
 def build_structure_report(g: ColoredGraph, r: int) -> StructureReport:
     """Collect the audits behind the analyze command into one report."""
-    from .constructions import gen_j
-
     wicked = find_wicked(g, blue_only=False)
     blue_wicked = find_wicked(g, blue_only=True)
     insecure_blue, insecure_green = secure_audit(g, r)

@@ -154,11 +154,13 @@ def _cmd_gen(args) -> int:
 
     graph = result.graph if isinstance(result, PartitionedConstruction) else result
     parts = result.parts_json() if isinstance(result, PartitionedConstruction) else None
+    if args.parts and parts is None:
+        raise UsageError("construction %r has no parts for --parts" % name)
     if args.output:
         write_cwg(args.output, graph)
     elif not args.json:
         sys.stdout.write(to_cwg(graph))
-    if args.parts and parts is not None:
+    if args.parts:
         with open(args.parts, "w", encoding="ascii") as fh:
             json.dump(parts, fh, indent=2, sort_keys=True)
             fh.write("\n")

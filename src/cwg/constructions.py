@@ -135,86 +135,49 @@ def gen_odd_extremal(r: int, scale: int) -> PartitionedConstruction:
         raise ValueError("need r >= 2")
     if scale < 1:
         raise ValueError("need scale >= 1")
-    n = scale * (3 * r - 1)
+    # The pattern: a red (r+3)-clique whose first five vertices lose the
+    # chords of their 5-cycle to green.
+    pattern = gen_rk(r + 3)
+    for i in range(5):
+        pattern = pattern.with_weight(i, (i + 2) % 5, GREEN)
     sizes = [("A%d" % i, scale) for i in range(1, 6)]
     sizes += [("B%d" % j, 3 * scale) for j in range(1, r - 1)]
-    parts = _layout(sizes)
-    a_index = [None] * n  # 0..4 for A_i, None otherwise
-    b_index = [None] * n
-    for i in range(1, 6):
-        for v in parts["A%d" % i]:
-            a_index[v] = i - 1
-    for j in range(1, r - 1):
-        for v in parts["B%d" % j]:
-            b_index[v] = j - 1
-
-    def w(x, y):
-        ax, ay = a_index[x], a_index[y]
-        bx, by = b_index[x], b_index[y]
-        if ax is not None and ay is not None:
-            return RED if (ax - ay) % 5 in (1, 4) else GREEN
-        if bx is not None and by is not None:
-            return RED if bx != by else GREEN
-        return RED  # one vertex in an A part, the other in a B part
-
-    digits = [w(x, y) for x, y in pair_list(n)]
-    return PartitionedConstruction(ColoredGraph.from_digits(n, digits), parts)
+    return _blow_up(pattern, sizes)
 
 
 def gen_even_extremal(r: int, scale: int) -> PartitionedConstruction:
     """Sharpness construction for the even family on scale*(7r-5) vertices:
-    parts A_1..A_{r-3} (size 7*scale), B', B'' (6*scale), C', C'' (2*scale);
-    green inside parts and between C'-C''; blue B'-C' and B''-C''; red
-    elsewhere.  Regular of degree scale*(14r-24)."""
+    the blow-up of J(r) with parts A_1..A_{r-3} (size 7*scale), B', B''
+    (6*scale), C', C'' (2*scale); green inside parts and between C'-C'';
+    blue B'-C' and B''-C''; red elsewhere.  Regular of degree
+    scale*(14r-24)."""
     if r < 3:
         raise ValueError("need r >= 3")
     if scale < 1:
         raise ValueError("need scale >= 1")
-    n = scale * (7 * r - 5)
     sizes = [("A%d" % i, 7 * scale) for i in range(1, r - 2)]
     sizes += [("B'", 6 * scale), ("B''", 6 * scale), ("C'", 2 * scale), ("C''", 2 * scale)]
-    parts = _layout(sizes)
-    label = [None] * n
-    for name, rng in parts.items():
-        for v in rng:
-            label[v] = name
+    return _blow_up(gen_j(r).graph, sizes)
 
-    def w(x, y):
-        lx, ly = label[x], label[y]
-        if lx == ly:
-            return GREEN
-        pair = {lx, ly}
-        if pair == {"C'", "C''"}:
-            return GREEN
-        if pair == {"B'", "C'"} or pair == {"B''", "C''"}:
-            return BLUE
-        return RED
 
-    digits = [w(x, y) for x, y in pair_list(n)]
-    return PartitionedConstruction(ColoredGraph.from_digits(n, digits), parts)
+def _blow_up(pattern: ColoredGraph, named_sizes: list[tuple[str, int]]) -> PartitionedConstruction:
+    """Replace pattern vertex i by a green clique, the part named and sized
+    by named_sizes[i]; cross pairs inherit the pattern weight."""
+    cls = [i for i, (_, size) in enumerate(named_sizes) for _ in range(size)]
+    # The zero diagonal of the pattern matrix makes every part green.
+    m = pattern.matrix()
+    digits = [m[cls[x]][cls[y]] for x, y in pair_list(len(cls))]
+    return PartitionedConstruction(ColoredGraph.from_digits(len(cls), digits), _layout(named_sizes))
 
 
 def blow_up(pattern: ColoredGraph, sizes: list[int]) -> PartitionedConstruction:
     """Replace vertex i of the pattern by a green clique of sizes[i]
-    vertices; cross pairs inherit the pattern weight."""
+    vertices, the part V_{i+1}; cross pairs inherit the pattern weight."""
     if len(sizes) != pattern.n:
         raise ValueError("need one size per pattern vertex")
     if any(s < 1 for s in sizes):
         raise ValueError("class sizes must be positive")
-    parts = _layout([("V%d" % (i + 1), s) for i, s in enumerate(sizes)])
-    n = sum(sizes)
-    cls = [None] * n
-    for i in range(pattern.n):
-        for v in parts["V%d" % (i + 1)]:
-            cls[v] = i
-
-    def w(x, y):
-        if cls[x] == cls[y]:
-            return GREEN
-        return pattern.weight(cls[x], cls[y])
-
-    digits = [w(x, y) for x, y in pair_list(n)]
-    return PartitionedConstruction(ColoredGraph.from_digits(n, digits), parts)
+    return _blow_up(pattern, [("V%d" % (i + 1), s) for i, s in enumerate(sizes)])
 
 
 def gen_ehss_blowup(r: int) -> PartitionedConstruction:

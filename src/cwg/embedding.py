@@ -7,11 +7,12 @@ weight >= 1 constrain the search; green pattern pairs are free.
 Every search reads one host view: ``n``, the per-vertex nonzero and red
 bitmasks ``_ge1`` / ``_red`` and ``weight``.  ``ColoredGraph`` is such a
 host; so is ``MaskHost``, whose mask lists a search that raises one pair
-at a time updates in place.  ``find_embedding`` is the generic
-backtracker and the reference implementation.  ``FamilyChecker``
-compiles a family once: members that are a red clique fully joined to a
-blue clique (every member of the standard families) become bitmask clique
-searches, and only the remaining members go to the backtracker.  Its one
+at a time updates in place through ``MaskHost.set``, their one writer.
+``find_embedding`` is the generic backtracker and the reference
+implementation.  ``FamilyChecker`` compiles a family once: members that
+are a red clique fully joined to a blue clique (every member of the
+standard families) become bitmask clique searches, and only the remaining
+members go to the backtracker.  Its one
 search method, ``FamilyChecker.witness``, tests a whole host or only the
 copies through a pair just raised in a family-free graph.  The same
 compilation gives the raw scan its pair conditions
@@ -372,7 +373,7 @@ class FamilyChecker:
 
 class MaskHost:
     """A host given by per-vertex nonzero and red mask lists, which its
-    owner updates in place as it raises and lowers pairs."""
+    owner updates in place with ``set`` as it raises and lowers pairs."""
 
     __slots__ = ("n", "_ge1", "_red")
 
@@ -383,6 +384,23 @@ class MaskHost:
 
     def weight(self, x: int, y: int) -> int:
         return 2 if self._red[x] >> y & 1 else self._ge1[x] >> y & 1
+
+    def set(self, x: int, y: int, w: int) -> None:
+        """Give the pair xy weight w, on both rows of each mask list."""
+        bx, by = 1 << x, 1 << y
+        ge1, red = self._ge1, self._red
+        if w:
+            ge1[x] |= by
+            ge1[y] |= bx
+        else:
+            ge1[x] &= ~by
+            ge1[y] &= ~bx
+        if w == 2:
+            red[x] |= by
+            red[y] |= bx
+        else:
+            red[x] &= ~by
+            red[y] &= ~bx
 
     def digits(self) -> tuple[int, ...]:
         """Upper-triangle weights in row-major order, as ``ColoredGraph.digits``."""

@@ -119,9 +119,9 @@ def _scan_raw(
     chunk: int = _CHUNK,
 ) -> Iterable[np.ndarray]:
     """Yield, per chunk of [lo, hi), a record array (fields ``code`` and
-    ``mindeg``) of the graphs with minimum degree >= cutoff that, when
-    conditions are given, contain no compiled member.  Chunks without a
-    record yield nothing.
+    ``mindeg``) of the graphs with minimum degree >= cutoff that meet none
+    of the compiled conditions (an empty list scans degrees only).  Chunks
+    without a record yield nothing.
 
     A code splits into L low digits, L the largest with 3^L <= chunk, and
     C(n,2) - L high digits, which are fixed on each aligned block of 3^L
@@ -137,19 +137,19 @@ def _scan_raw(
     size = 3 ** low
     low_degs, low_ge1, low_red, low_max = _low_table(n, low)
     high_pairs = pair_list(n)[low:]
-    if conditions is not None:
-        # Per condition: bitmasks over the high digits that must be red and
-        # nonzero, and the pair positions it needs among the low digits.
-        def high_mask(positions):
-            return sum(1 << (p - low) for p in positions if p >= low)
 
-        cond_red = np.array([high_mask(red) for red, _ in conditions], dtype=np.int64)
-        cond_ge1 = np.array([high_mask(ge1) for _, ge1 in conditions], dtype=np.int64)
-        cond_low = [
-            (tuple(p for p in red if p < low), tuple(p for p in ge1 if p < low))
-            for red, ge1 in conditions
-        ]
-        high_only = np.array([not (r or g) for r, g in cond_low], dtype=bool)
+    # Per condition: bitmasks over the high digits that must be red and
+    # nonzero, and the pair positions it needs among the low digits.
+    def high_mask(positions):
+        return sum(1 << (p - low) for p in positions if p >= low)
+
+    cond_red = np.array([high_mask(red) for red, _ in conditions], dtype=np.int64)
+    cond_ge1 = np.array([high_mask(ge1) for _, ge1 in conditions], dtype=np.int64)
+    cond_low = [
+        (tuple(p for p in red if p < low), tuple(p for p in ge1 if p < low))
+        for red, ge1 in conditions
+    ]
+    high_only = np.array([not (r or g) for r, g in cond_low], dtype=bool)
 
     for start in range(lo, hi, chunk):
         stop = min(start + chunk, hi)
@@ -172,14 +172,10 @@ def _scan_raw(
                         red_bits |= 1 << j
             if any(f + top < cutoff for f, top in zip(fixed, low_max)):
                 continue
-            tests = ()
-            if conditions is not None:
-                live = np.flatnonzero(
-                    ((cond_red & ~red_bits) | (cond_ge1 & ~ge1_bits)) == 0
-                )
-                if high_only[live].any():
-                    continue
-                tests = {cond_low[i] for i in live.tolist()}
+            live = np.flatnonzero(((cond_red & ~red_bits) | (cond_ge1 & ~ge1_bits)) == 0)
+            if high_only[live].any():
+                continue
+            tests = {cond_low[i] for i in live.tolist()}
             degs = low_degs[:, a:b] + np.array(fixed, dtype=np.uint8)[:, None]
             mindeg = degs.min(axis=0)
             idx = np.flatnonzero(mindeg >= cutoff)
@@ -211,15 +207,19 @@ def _scan_raw(
 
 
 def _theorem_setup(kind: str, r: int):
+    """The family, degree threshold, homomorphism test and family
+    parameter t of the odd or even theorem at r."""
     if kind == "odd":
         if r < 2:
             raise ValueError("need r >= 2 for the odd theorem")
-        return gen_family(2 * r + 1), odd_threshold(r), lambda g: find_hom_rk(g, r)
-    if kind == "even":
+        t, threshold, hom = 2 * r + 1, odd_threshold(r), lambda g: find_hom_rk(g, r)
+    elif kind == "even":
         if r < 3:
             raise ValueError("need r >= 3 for the even theorem")
-        return gen_family(2 * r), even_threshold(r), lambda g: find_hom_rk_minus(g, r)
-    raise ValueError("unknown theorem kind %r" % (kind,))
+        t, threshold, hom = 2 * r, even_threshold(r), lambda g: find_hom_rk_minus(g, r)
+    else:
+        raise ValueError("unknown theorem kind %r" % (kind,))
+    return gen_family(t), threshold, hom, t
 
 
 def _reference_is_free(g: ColoredGraph, family: list[ColoredGraph]) -> bool:
@@ -290,9 +290,8 @@ def _first_without_hom(graphs: Iterable[ColoredGraph], hom) -> tuple[int, Option
 def _verify_theorem(kind: str, r: int, n: int, mode: str) -> SearchReport:
     if n < 1:
         raise ValueError("need n >= 1")
-    family, threshold, hom = _theorem_setup(kind, r)
+    family, threshold, hom, t_param = _theorem_setup(kind, r)
     checker = FamilyChecker(family)
-    t_param = 2 * r + 1 if kind == "odd" else 2 * r
     cutoff = threshold.cutoff(n)
     t0 = time.perf_counter()
     parameters = {
@@ -372,11 +371,12 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     first; the value is None when the root already contains a member.
     Every accepted node is family-free, so a node with a positive new
     weight on pair xy is tested only for copies through x and y
-    (``FamilyChecker.witness`` with ``raised``) on one ``MaskHost``, whose
-    masks are set when a weight is tried and cleared on backtrack; no graph
-    and no weight list is kept during the search.  The best weights are
-    read from the host when the incumbent improves, and the witness is
-    re-checked with the generic backtracker.
+    (``FamilyChecker.witness`` with ``raised``) on one ``MaskHost``; each
+    tried weight is written with ``MaskHost.set``, and the last one tried
+    is green, so backtracking needs no undo.  No graph and no weight list
+    is kept during the search.  The best weights are read from the host
+    when the incumbent improves, and the witness is re-checked with the
+    generic backtracker.
     """
     if n > EX_BOUND:
         raise ValueError("extremal search bound %d exceeded (n=%d)" % (EX_BOUND, n))
@@ -389,7 +389,6 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     m = num_pairs(n)
     pairs = pair_list(n)
     host = MaskHost([0] * n, [0] * n)
-    ge1, red = host._ge1, host._red
     best = -1
     best_digits: Optional[tuple[int, ...]] = None
     nodes = 0
@@ -403,24 +402,11 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
             best_digits = host.digits()
             return
         x, y = pairs[d]
-        bx, by = 1 << x, 1 << y
-        # Weights are tried downwards, so red is cleared at w = 1 and
-        # nonzero at w = 0; the pair is green again when the loop ends.
+        # Weights are tried downwards, so the pair is green again when the
+        # loop ends.
         for w in range(weight_cap, -1, -1):
             nodes += 1
-            if w == 2:
-                ge1[x] |= by
-                ge1[y] |= bx
-                red[x] |= by
-                red[y] |= bx
-            elif w == 1:
-                ge1[x] |= by
-                ge1[y] |= bx
-                red[x] &= ~by
-                red[y] &= ~bx
-            else:
-                ge1[x] &= ~by
-                ge1[y] &= ~bx
+            host.set(x, y, w)
             if w and checker.witness(host, (x, y)) is not None:
                 continue
             rec(d + 1, total + w)
@@ -460,7 +446,7 @@ def empirical_threshold(n: int, r: int, kind: str) -> SearchReport:
     asymptotic threshold is an infimum over growing n and the report states
     the exact rational bound next to the observed value.
     """
-    family, threshold, hom = _theorem_setup(kind, r)
+    family, threshold, hom, t_param = _theorem_setup(kind, r)
     total = _raw_total(n)
     t0 = time.perf_counter()
     conditions = FamilyChecker(family).conditions(n)
@@ -483,7 +469,6 @@ def empirical_threshold(n: int, r: int, kind: str) -> SearchReport:
     ):
         raise SelfCheckError("threshold witness failed independent re-check")
 
-    t_param = 2 * r + 1 if kind == "odd" else 2 * r
     return SearchReport(
         kind="threshold",
         parameters={

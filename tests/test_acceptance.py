@@ -162,7 +162,7 @@ def test_criterion_7_structural_conformance():
 
     for n in range(1, 7):
         cutoff = threshold.cutoff(n)
-        for block in _scan_raw(n, cutoff, None, 0, 3 ** num_pairs(n)):
+        for block in _scan_raw(n, cutoff, [], 0, 3 ** num_pairs(n)):
             for code in block["code"].tolist():
                 g = graph_from_code(n, code)
                 if not is_free(g, fam6)[0]:

@@ -272,7 +272,7 @@ class TestJExclusionConformance:
         j3 = gen_j(3).graph
         qualifying = 0
         for n in range(4, 7):
-            for block in _scan_raw(n, threshold.cutoff(n), None, 0, 3 ** num_pairs(n)):
+            for block in _scan_raw(n, threshold.cutoff(n), [], 0, 3 ** num_pairs(n)):
                 for code in block["code"].tolist():
                     g = graph_from_code(n, code)
                     if not checker.is_free_graph(g):

@@ -63,6 +63,22 @@ class TestGen:
         assert main(["gen", "--construction", "rk"]) == 1
         assert "requires" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "construction, params",
+        [("rk", ["--n", "3"]), ("bk", ["--n", "3"]), ("rk-minus", ["--n", "3"]),
+         ("gab", ["--t", "5", "--i", "2"])],
+    )
+    def test_parts_without_parts_is_usage_error(self, tmp_path, capsys, construction, params):
+        parts = tmp_path / "p.json"
+        argv = ["gen", "--construction", construction, *params, "--parts", str(parts), "--json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert repr(construction) in lines[0]
+        assert not parts.exists()
+
     def test_blowup(self, tmp_path, capsys):
         pattern = tmp_path / "p.cwg"
         write_cwg(pattern, gen_rk_minus(3))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -299,3 +301,121 @@ def test_parts_json_shape():
     pj = c.parts_json()
     assert pj["B'"] == [0, 6]
     assert pj["C''"] == [14, 16]
+
+
+# sha256 of upper_string() and of the sorted-key JSON part map, recorded from
+# the hand-written generators before the sharpness constructions became
+# blow-ups; the bench hosts are built in this layout.
+_LAYOUT_PINS = [
+    (
+        "odd", 2, 1,
+        "d4d2e75fe20f61cddd2067c399f4a9089b14fc56b2d4ee609cd269bf38dfc282",
+        "d281aab4419fe3ed9e632f38daaf5dfb76c9f2c9a26e3fb41e15ce70bb76789a",
+    ),
+    (
+        "odd", 2, 2,
+        "379bdd53c3d180099a9604813078cad5e0b63a2b65f5cc485ca923ccf07554f8",
+        "5fb03b789fb1a8d2e69fa26e2a290cceb9f3f4f13aa664a770e8cd8c3e1fded5",
+    ),
+    (
+        "odd", 3, 1,
+        "6f00497af28fe175add4a6f62c4cef943728810ed7f78782bf668c2fec0539cf",
+        "fdf8c0340d54ddcab5fc53383e27b0755f037e5e7b5515a25ec2796b32acd62a",
+    ),
+    (
+        "odd", 3, 2,
+        "b3c471d3a02f0ee0cede18767a9eba18ab7c5e4a2d078bbb2585ce8fff193ce5",
+        "9d4c451e27ce50aa3817d58eeca23ac80bd1e4f7ee678f2b891d0536e5735991",
+    ),
+    (
+        "odd", 4, 1,
+        "561c043697d514cfc7dbb06777fe54136cfac007cc4ae1530d427eaa3584909c",
+        "45eb549c5abfb39be8c4897435b7853e78381fd7f50567d91e01c9f845345a89",
+    ),
+    (
+        "odd", 4, 2,
+        "55f8c93746dd00e9759311fef6dfc1c0f97ca07fb45b2a421ce2239f81426067",
+        "b6de11b807da6b67fc16974feefc684dbfe10e4fea49867fd876a2708ec104e3",
+    ),
+    (
+        "odd", 5, 1,
+        "0e546f0fe8d4c9fb370c3e84090cc5a82234c2cbb6e6d69ef6df8dc2175a93ea",
+        "cd4a7325c8d0f0e6c9e8efc7d152503562019c2984ba5f1ad9e2ab1041b8875c",
+    ),
+    (
+        "odd", 5, 2,
+        "fe8ee99903bb4fa6108930a84c9f00b0a6e1f30843c397eb82a02f313f4f39de",
+        "38530c22807ddc45906a9c3d1ee2d98fea7c4eb50bdcc185c97d3d349ff68bcb",
+    ),
+    (
+        "even", 3, 1,
+        "d400133f0e1e73284067a47538b264965a3c8cba1d02e771b4f7e3661fa67a70",
+        "1a9f287ba221ec098ffe034fc06bacc22f6f5672dc3d00902292377c0a5723dd",
+    ),
+    (
+        "even", 3, 2,
+        "5686c1eec4baa3bbc9a0a4f441032b533578d5a24614f0796e35833a4a88e588",
+        "ca4edfafee53d7522a9123c33c81d9c79b805e51aa1ad016d3d5204577603d17",
+    ),
+    (
+        "even", 4, 1,
+        "c6286d1695468aa99e25a1b0bd3167cdd12a12c1771d349b339a97cc61f2226c",
+        "b403b4e1f29b89288aa6ef8ff0965f21b68ccf2d150e9fdb52c85f903655f93e",
+    ),
+    (
+        "even", 4, 2,
+        "22d3ed858fe7d1a8bf0bcf951904a0b6fe57521d275d11e767433b1f374cc2fa",
+        "de256bc6d73638b25fe13342aeb266214bd3858fc1ab8175331622aeb37b3de3",
+    ),
+    (
+        "even", 5, 1,
+        "977774a40de1f2e10c23f65caa6d29b93ad4541f83d0795016100dc50a46fe4f",
+        "93c4e543e78cf1efe2618e44bd30fc848d9626572092f4ce8b335174b2b323de",
+    ),
+    (
+        "even", 5, 2,
+        "a18a797d66a93e5d38087ac1231e6bbf162868f4ed36afa2cee49448494eb130",
+        "c33492fcf56a521d61e7038c25800075043246afb0428b0c44191e5f7fff28c7",
+    ),
+    (
+        "even", 6, 1,
+        "18f1626fee84685501c867f7679533037558ced156da35416089a9a429fbf9c7",
+        "389dd14e3438ccf5a2ec38e615b65e78216c9bc5e10a60bd3c4e7289451dbff3",
+    ),
+    (
+        "ehss", 2, None,
+        "205b2cce1d0220683fcd07cd08731ccf2b1398583f32f22ae05aea31dd0995e3",
+        "c8653768ffc3d52983c63591f3cb6ecd109b12c7c099de00135c47ab32038e78",
+    ),
+    (
+        "ehss", 3, None,
+        "b0fecc972277fd5bff0fb1918a555de6ff9a938719e5894336894a31c07b2e09",
+        "3bfbe5fcf61eea2696bf02a7606fcd6d7d8b06148e09739508b28281377b69ab",
+    ),
+    (
+        "ehss", 4, None,
+        "ed902777a7807db1025cbc1677ac78f4ad570e10abf8ae4dae79a8c42158f996",
+        "b40d91e35c4c0cb36b7f1905934a877c8edfd68089f490bff86c0658a809fb23",
+    ),
+    (
+        "ehss", 5, None,
+        "430ed445849109ff9153463c4e07ffe842a1a65ce0a1f0b48655b941f631fc32",
+        "8108ae216e5042c2754f89f8c6d14c5b6dc8fd8ca443f33293fdabe78ecbb91f",
+    ),
+]
+_GENERATORS = {
+    "odd": gen_odd_extremal,
+    "even": gen_even_extremal,
+    "ehss": lambda r, _scale: gen_ehss_blowup(r),
+}
+
+
+@pytest.mark.parametrize("kind, r, scale, graph_sha, parts_sha", _LAYOUT_PINS)
+def test_layout_is_pinned(kind, r, scale, graph_sha, parts_sha):
+    c = _GENERATORS[kind](r, scale)
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha(c.graph.upper_string()) == graph_sha
+    assert sha(json.dumps(c.parts_json(), sort_keys=True)) == parts_sha

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -110,6 +111,27 @@ class TestFindEmbedding:
         for view in (host, MaskHost(host._ge1, host._red)):
             emb = find_embedding(gen_j(r).graph, view)
             assert (None if emb is None else emb.map) == expected
+
+
+class TestMaskHostSet:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_pair_to_every_weight(self, seed):
+        # From random masks, write each (pair, weight) once in a seeded
+        # order; both rows of both mask lists must follow every write.
+        rng = random.Random(seed)
+        n = 5
+        start = random_graph(rng, n)
+        host = MaskHost(start._ge1, start._red)
+        writes = [(x, y, w) for x, y in pair_list(n) for w in range(3)]
+        rng.shuffle(writes)
+        for x, y, w in writes:
+            if rng.random() < 0.5:
+                x, y = y, x
+            host.set(x, y, w)
+            assert host.weight(x, y) == host.weight(y, x) == w
+            g = ColoredGraph.from_digits(n, host.digits())
+            assert host._ge1 == list(g._ge1)
+            assert host._red == list(g._red)
 
 
 class TestIsFree:

@@ -75,11 +75,7 @@ def test_copies_through_raised_pair(case):
     assert _reference_is_free(before, family)
     # Raise the pair in place on the free graph's masks, as a search does.
     host = MaskHost(before._ge1, before._red)
-    host._ge1[x] |= 1 << y
-    host._ge1[y] |= 1 << x
-    if after.weight(x, y) == 2:
-        host._red[x] |= 1 << y
-        host._red[y] |= 1 << x
+    host.set(x, y, after.weight(x, y))
     assert host.digits() == after.digits()
     hit = FamilyChecker(family).witness(host, (x, y))
     assert (hit is None) == _reference_is_free(after, family)

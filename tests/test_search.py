@@ -103,7 +103,7 @@ class TestCensus:
     @pytest.mark.parametrize("kind, r", [("odd", 2), ("even", 3), ("odd", 3)])
     @pytest.mark.parametrize("n", range(1, 6))
     def test_iso_census_matches_raw(self, iso_classes, kind, r, n):
-        family, threshold, _ = _theorem_setup(kind, r)
+        family, threshold, _, _ = _theorem_setup(kind, r)
         checker = FamilyChecker(family)
         conditions = checker.conditions(n)
 
@@ -185,8 +185,8 @@ class TestVerifyTheorems:
         orig = search_module._theorem_setup
 
         def weakened(kind, r):
-            fam, _thr, hom = orig(kind, r)
-            return fam, Threshold(3, 5), hom
+            fam, _thr, hom, t = orig(kind, r)
+            return fam, Threshold(3, 5), hom, t
 
         monkeypatch.setattr(search_module, "_theorem_setup", weakened)
         raw = search_module._verify_theorem("odd", 2, 5, "raw")
@@ -279,7 +279,7 @@ class TestScanRaw:
         # with minimum degree at least (exact: equal to) the cutoff.
         n = 4
         for fam in (None, gen_family(5), gen_family(6), gen_family(7)):
-            conditions = None if fam is None else FamilyChecker(fam).conditions(n)
+            conditions = [] if fam is None else FamilyChecker(fam).conditions(n)
             rows = [
                 (code, g, min_degree(g))
                 for code, g in enumerate(all_graphs(n))
@@ -301,7 +301,7 @@ class TestScanRaw:
 
     def test_unaligned_small_chunks(self):
         conditions = FamilyChecker(gen_family(5)).conditions(4)
-        for cutoff, cond in ((0, None), (2, conditions)):
+        for cutoff, cond in ((0, []), (2, conditions)):
             whole = self.records(4, cutoff, cond, 5, 700, chunk=695)
             assert whole
             assert self.records(4, cutoff, cond, 5, 700, chunk=7) == whole
@@ -320,7 +320,7 @@ class TestScanRaw:
     def check_window(self, n, lo, hi, cutoffs, chunk):
         rows = self.reference(n, lo, hi)
         for t in (None, 5, 6, 7):
-            conditions = None if t is None else FamilyChecker(gen_family(t)).conditions(n)
+            conditions = [] if t is None else FamilyChecker(gen_family(t)).conditions(n)
             for cutoff in cutoffs:
                 expected = [
                     (code, d)
@@ -351,7 +351,7 @@ class TestScanRaw:
         self.check_window(6, boundary - 517, boundary + 483, range(6), chunk=boundary)
 
     def test_yields_one_record_array_per_chunk(self):
-        blocks = list(_scan_raw(3, 0, None, 0, 27, chunk=10))
+        blocks = list(_scan_raw(3, 0, [], 0, 27, chunk=10))
         assert [len(b) for b in blocks] == [10, 10, 7]
         assert blocks[0].dtype.names == ("code", "mindeg")
 

@@ -128,3 +128,29 @@ def test_no_assert_statements_in_package():
             "%s:%d" % (path.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_masks_have_one_writer():
+    """Outside core and embedding, a module touches the ``_ge1`` / ``_red``
+    mask lists only to hand them to ``MaskHost(...)``; every write to a
+    mask host goes through ``MaskHost.set``."""
+    found = []
+    for path in sorted(Path(cwg.__file__).parent.glob("*.py")):
+        if path.name in ("core.py", "embedding.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        handed = {
+            id(arg)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "MaskHost"
+            for arg in node.args
+        }
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("_ge1", "_red")
+            and id(node) not in handed
+        ]
+    assert found == []
