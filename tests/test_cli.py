@@ -1,5 +1,8 @@
+import argparse
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -8,9 +11,24 @@ import jsonschema
 import pytest
 
 import cwg
-from cwg.cli import main
+from cwg import cli
+from cwg.cli import build_parser, main
 from cwg.core import ColoredGraph, parse_cwg, read_cwg, to_cwg, write_cwg
-from cwg.constructions import gen_even_extremal, gen_j, gen_rk, gen_rk_minus
+from cwg.constructions import (
+    PartitionedConstruction,
+    blow_up,
+    gen_bk,
+    gen_ehss_blowup,
+    gen_even_extremal,
+    gen_gab,
+    gen_hk,
+    gen_j,
+    gen_odd_extremal,
+    gen_rk,
+    gen_rk_minus,
+)
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +45,34 @@ def run_json(capsys, argv):
 
 def validate(schema, payload):
     jsonschema.validate(payload, schema)
+
+
+def subcommands():
+    """The parser's subcommands, name -> subparser, in declaration order."""
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def construction_choices():
+    return next(a for a in subcommands()["gen"]._actions if a.dest == "construction").choices
+
+
+# gen's constructions: name, valid flags ("{pattern}" is a pattern file), the
+# generator called directly with those parameters, and the first required flag.
+CONSTRUCTIONS = [
+    ("rk", ["--n", "3"], lambda: gen_rk(3), "--n"),
+    ("bk", ["--n", "4"], lambda: gen_bk(4), "--n"),
+    ("rk-minus", ["--n", "4"], lambda: gen_rk_minus(4), "--n"),
+    ("gab", ["--t", "5", "--i", "2"], lambda: gen_gab(5, 2), "--t"),
+    ("hk", ["--q", "6", "--b", "4", "--k", "2"], lambda: gen_hk(6, 4, 2), "--q"),
+    ("j", ["--r", "4"], lambda: gen_j(4), "--r"),
+    ("odd-extremal", ["--r", "3", "--scale", "2"], lambda: gen_odd_extremal(3, 2), "--r"),
+    ("even-extremal", ["--r", "4"], lambda: gen_even_extremal(4, 1), "--r"),
+    ("ehss-blowup", ["--r", "3"], lambda: gen_ehss_blowup(3), "--r"),
+    ("blowup", ["--pattern", "{pattern}", "--sizes", "2,2,3"],
+     lambda: blow_up(gen_rk_minus(3), [2, 2, 3]), "--pattern"),
+]
+CONSTRUCTION_IDS = [name for name, *_ in CONSTRUCTIONS]
 
 
 class TestGen:
@@ -62,6 +108,47 @@ class TestGen:
     def test_missing_parameter(self, capsys):
         assert main(["gen", "--construction", "rk"]) == 1
         assert "requires" in capsys.readouterr().err
+
+    def test_construction_choices(self):
+        assert construction_choices() == [
+            "rk", "bk", "rk-minus", "gab", "hk", "j",
+            "odd-extremal", "even-extremal", "ehss-blowup", "blowup",
+        ]
+        assert construction_choices() == CONSTRUCTION_IDS
+
+    @pytest.mark.parametrize("name, flags, direct, first_flag", CONSTRUCTIONS, ids=CONSTRUCTION_IDS)
+    def test_construction_without_parameters(self, capsys, name, flags, direct, first_flag):
+        assert main(["gen", "--construction", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: construction %r requires %s" % (name, first_flag)]
+
+    @pytest.mark.parametrize("name, flags, direct, first_flag", CONSTRUCTIONS, ids=CONSTRUCTION_IDS)
+    def test_construction_matches_generator(self, tmp_path, capsys, schema, name, flags, direct, first_flag):
+        pattern = tmp_path / "p.cwg"
+        write_cwg(pattern, gen_rk_minus(3))
+        argv = ["gen", "--construction", name] + [f.format(pattern=pattern) for f in flags]
+        code, payload = run_json(capsys, argv + ["--json"])
+        assert code == 0
+        validate(schema, payload)
+        result = direct()
+        if isinstance(result, PartitionedConstruction):
+            graph, parts = result.graph, result.parts_json()
+        else:
+            graph, parts = result, None
+        assert payload["construction"] == name
+        assert payload["graph"] == {"n": graph.n, "weights": graph.upper_string()}
+        assert payload["parts"] == parts
+
+    @pytest.mark.parametrize("sizes", ["2,,3", "2,x,3", ""])
+    def test_non_integer_sizes_is_usage_error(self, tmp_path, capsys, sizes):
+        pattern = tmp_path / "p.cwg"
+        write_cwg(pattern, gen_rk_minus(3))
+        argv = ["gen", "--construction", "blowup", "--pattern", str(pattern), "--sizes", sizes]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --sizes %r: expected comma-separated integers" % sizes]
 
     @pytest.mark.parametrize(
         "construction, params",
@@ -157,6 +244,17 @@ class TestHom:
         path = tmp_path / "g.cwg"
         write_cwg(path, gen_rk(2))
         assert main(["hom", "--target", "nope:3", str(path)]) == 1
+
+    @pytest.mark.parametrize("target", ["rk:x", "rkminus:x", "rk:", "rkminus:3.5"])
+    def test_non_integer_target_is_usage_error(self, tmp_path, capsys, target):
+        path = tmp_path / "g.cwg"
+        write_cwg(path, gen_rk(2))
+        assert main(["hom", "--target", target, str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: target %r: expected rk:<r>, rkminus:<r> or file:<path>" % target
+        ]
 
     def test_budget_exhausted_is_unknown(self, tmp_path, capsys, schema):
         path = tmp_path / "g.cwg"
@@ -364,18 +462,34 @@ class TestErrorsAndDeterminism:
         write_cwg(path, gen_even_extremal(3, 1).graph)
         green = tmp_path / "green.cwg"
         write_cwg(green, ColoredGraph.uniform(10, 0))
+        parts = tmp_path / "parts.json"
         for argv in (
             ["hom", "--target", "rkminus:3", str(path), "--json"],
             ["check", "--family", "F:6", str(path), "--json"],
             ["analyze", "--r", "3", str(path), "--json"],
             ["complete", "--family", "F:6", "--policy", "lex", str(green), "--json"],
             ["complete", "--family", "F:6", "--policy", "random", "--seed", "3", str(green), "--json"],
+            ["gen", "--construction", "even-extremal", "--r", "3", "--parts", str(parts), "--json"],
+            ["density", "--family", "F:6", str(path), "--json"],
+            ["hom", "--target", "rkminus:3", str(path)],
+            ["check", "--family", "F:6", str(path)],
+            ["analyze", "--r", "3", str(path)],
         ):
             assert main(argv) == 0
             first = capsys.readouterr().out
             assert main(argv) == 0
             second = capsys.readouterr().out
             assert first == second
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_stdout_write_error_exits_1(self, monkeypatch, capsys, extra):
+        class ClosedStdout(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError("stdout is closed")
+
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        assert main(["gen", "--construction", "rk", "--n", "3", *extra]) == 1
+        assert capsys.readouterr().err == "error: stdout is closed\n"
 
     def test_unseeded_random_completion_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "green.cwg"
@@ -385,3 +499,43 @@ class TestErrorsAndDeterminism:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--seed" in err
+
+
+def _json_argv(command, tmp_path):
+    path = tmp_path / "g.cwg"
+    write_cwg(path, gen_even_extremal(3, 1).graph)
+    green = tmp_path / "green.cwg"
+    write_cwg(green, ColoredGraph.uniform(6, 0))
+    return {
+        "gen": ["gen", "--construction", "hk", "--q", "6", "--b", "4", "--k", "2"],
+        "check": ["check", "--family", "F:6", str(path)],
+        "hom": ["hom", "--target", "rkminus:3", str(path)],
+        "analyze": ["analyze", "--r", "3", str(path)],
+        "complete": ["complete", "--family", "F:4", str(green)],
+        "verify": ["verify", "--theorem", "odd", "--r", "2", "--n", "4"],
+        "ex": ["ex", "--n", "4", "--family", "F:4"],
+        "threshold": ["threshold", "--n", "4", "--r", "2", "--kind", "odd"],
+        "density": ["density", "--family", "F:6", str(path)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(subcommands()))
+def test_json_is_one_schema_valid_document(tmp_path, capsys, schema, command):
+    assert main(_json_argv(command, tmp_path) + ["--json"]) in (0, 2)
+    payload = json.loads(capsys.readouterr().out)
+    assert isinstance(payload, dict)
+    validate(schema, payload)
+    assert payload["command"] == command
+
+
+def test_subcommand_list_is_the_same_in_all_homes(schema):
+    parser = list(subcommands())
+    docstring = re.search(r"Subcommands:([^.]*)\.", cli.__doc__).group(1)
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    readme = [line.split()[1] for line in block.splitlines() if line.startswith("cwg ")]
+    assert parser == ["gen", "check", "hom", "analyze", "complete", "verify", "ex", "threshold", "density"]
+    assert schema["properties"]["command"]["enum"] == parser
+    assert [name.strip() for name in docstring.split(",")] == parser
+    assert readme == parser
