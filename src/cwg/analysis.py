@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .core import ColoredGraph, SelfCheckError, even_threshold, min_degree, pair_list
-from .constructions import gen_family, gen_j
+from .constructions import gen_family, gen_j, gen_rk
 from .embedding import Embedding, FamilyChecker, MaskHost, find_clique, find_embedding, is_free
 from .homomorphism import HomCertificate, verify_certificate
 
@@ -70,16 +70,18 @@ def extremal_completion(
     (``FamilyChecker.witness`` with ``raised``) on one ``MaskHost`` that
     holds the current weights: ``MaskHost.set`` raises the pair and, when a
     member appears, puts its weight back.  The result graph is built once
-    at the end.
+    at the end.  Only the random policy takes a seed.
     """
-    checker = FamilyChecker(family)
-    witness = checker.witness(g)
-    if witness is not None:
-        raise ValueError("input graph is not family-free (member %d embeds)" % witness[0])
     if policy not in ("lex", "random"):
         raise ValueError("unknown completion policy %r" % (policy,))
     if policy == "random" and seed is None:
         raise ValueError("the random completion policy needs a seed (--seed)")
+    if policy == "lex" and seed is not None:
+        raise ValueError("the lex completion policy takes no seed (--seed %r)" % (seed,))
+    checker = FamilyChecker(family)
+    witness = checker.witness(g)
+    if witness is not None:
+        raise ValueError("input graph is not family-free (member %d embeds)" % witness[0])
     rng = random.Random(seed) if policy == "random" else None
     pairs = list(pair_list(g.n))
     host = MaskHost(g._ge1, g._red)
@@ -103,19 +105,18 @@ def extremal_completion(
 
 def find_wicked(g: ColoredGraph, blue_only: bool = False) -> list[tuple[int, int, int]]:
     """All triples (x, y, z), x < y, with xy red and xz, yz non-red
-    (both blue under blue_only)."""
+    (both blue under blue_only).  The apexes of a red pair xy are one mask:
+    the vertices other than x and y that are red to neither."""
+    n = g.n
     out = []
-    lo = 1 if blue_only else 0
-    for x, y in pair_list(g.n):
-        if g.weight(x, y) != 2:
-            continue
-        for z in range(g.n):
-            if z == x or z == y:
+    for x in range(n):
+        for y in range(x + 1, n):
+            if not g.red_mask(x) >> y & 1:
                 continue
-            wxz = g.weight(x, z)
-            wyz = g.weight(y, z)
-            if lo <= wxz <= 1 and lo <= wyz <= 1:
-                out.append((x, y, z))
+            apexes = ~(g.red_mask(x) | g.red_mask(y) | 1 << x | 1 << y)
+            if blue_only:
+                apexes &= g.ge1_mask(x) & g.ge1_mask(y)
+            out += [(x, y, z) for z in range(n) if apexes >> z & 1]
     return out
 
 
@@ -144,47 +145,37 @@ def secure_audit(
 
 def _le1_classes(g: ColoredGraph) -> list[list[int]]:
     """Connected components of the weight-at-most-1 relation, each sorted,
-    listed by least vertex."""
+    listed by least vertex.  Each grows on bitmasks from the least vertex
+    not yet placed."""
     n = g.n
-    full = (1 << n) - 1
-    seen = [False] * n
+    unplaced = (1 << n) - 1
     comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            nbrs = full & ~g.red_mask(v) & ~(1 << v)
-            for u in range(n):
-                if nbrs >> u & 1 and not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
+    while unplaced:
+        comp = frontier = unplaced & -unplaced
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = unplaced & ~g.red_mask(v) & ~comp
+            comp |= new
+            frontier |= new
+        unplaced &= ~comp
+        comps.append([v for v in range(n) if comp >> v & 1])
     return comps
 
 
-def _blue_pairs(g: ColoredGraph, cls: list[int]) -> list[tuple[int, int]]:
-    """The blue pairs inside a class, in class order."""
-    return [(u, v) for i, u in enumerate(cls) for v in cls[i + 1:] if g.weight(u, v) == 1]
-
-
-def _blue_bipartition(g: ColoredGraph, cls: list[int]):
-    """2-color the blue graph on a class by BFS; returns (B, C) or an odd
-    cycle witness triple/None on failure."""
+def _blue_bipartition(blue: list[int], cls: list[int]):
+    """2-color the blue graph on a class by BFS; returns ((B, C), None), or
+    (None, (v, u)) for the first blue pair found with both ends on one side,
+    which closes an odd cycle."""
     side = {}
     for start in cls:
         if start in side:
             continue
         side[start] = 0
         queue = [start]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:
             for u in cls:
-                if u != v and g.weight(u, v) == 1:
+                if blue[v] >> u & 1:
                     if u not in side:
                         side[u] = 1 - side[v]
                         queue.append(u)
@@ -232,10 +223,12 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
         )
 
     classes = _le1_classes(g)
+    # A blue pair has weight 1, so blue[v] lies inside the class of v.
+    blue = [g.ge1_mask(v) & ~g.red_mask(v) for v in range(g.n)]
     blue_classes = []
     green_classes = []
     for cls in classes:
-        if _blue_pairs(g, cls):
+        if any(blue[v] for v in cls):
             blue_classes.append(cls)
         else:
             green_classes.append(cls)
@@ -261,11 +254,11 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
         triangle = next(
             (
                 (a, b, c)
-                for a, b in _blue_pairs(g, cls)
+                for a in cls
+                for b in cls
+                if b > a and blue[a] >> b & 1
                 for c in cls
-                if c not in (a, b)
-                and g.weight(a, c) == 1
-                and g.weight(b, c) == 1
+                if (blue[a] & blue[b]) >> c & 1
             ),
             None,
         )
@@ -275,7 +268,7 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
                 "class %r spans a blue triangle" % (cls,),
                 triangle,
             )
-        split, odd = _blue_bipartition(g, cls)
+        split, odd = _blue_bipartition(blue, cls)
         if split is None:
             return fail(
                 "odd_blue_cycle",
@@ -292,14 +285,9 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
 
     # Intermediate witness: a homomorphism onto the order-r graph that has a
     # blue matching of size s and red edges elsewhere.
-    matching_target = ColoredGraph.from_pair_weights(
-        r,
-        {
-            (i, j): (1 if (min(i, j) % 2 == 0 and max(i, j) == min(i, j) + 1 and j < 2 * s and i < 2 * s) else 2)
-            for i in range(r)
-            for j in range(i + 1, r)
-        },
-    )
+    matching_target = gen_rk(r)
+    for i in range(0, 2 * s, 2):
+        matching_target = matching_target.with_weight(i, i + 1, 1)
     matching_cert = HomCertificate(
         kind="general", classes=tuple(cert_classes), target=matching_target
     )
@@ -307,12 +295,7 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
         raise SelfCheckError("decomposition produced an invalid matching certificate")
 
     cert_classes.sort(key=lambda c: min(c) if c else g.n)
-    designated = (
-        cert_classes.index(designated_src[0]),
-        cert_classes.index(designated_src[1]),
-    )
-    if designated[0] > designated[1]:
-        designated = (designated[1], designated[0])
+    designated = tuple(sorted(cert_classes.index(c) for c in designated_src))
     cert = HomCertificate(
         kind="rk_minus", classes=tuple(cert_classes), designated=designated
     )
@@ -328,10 +311,11 @@ def build_structure_report(g: ColoredGraph, r: int) -> StructureReport:
     insecure_blue, insecure_green = secure_audit(g, r)
     j_emb = find_embedding(gen_j(r).graph, g) if r >= 3 else None
     classes = _le1_classes(g)
+    blue = [g.ge1_mask(v) & ~g.red_mask(v) for v in range(g.n)]
     class_rows = []
     s = 0
     for cls in classes:
-        has_blue = bool(_blue_pairs(g, cls))
+        has_blue = any(blue[v] for v in cls)
         s += has_blue
         class_rows.append({"vertices": cls, "has_blue": has_blue})
     return StructureReport(

@@ -417,16 +417,7 @@ class EnumerationStats:
     canonical_forms: int = 0
 
 
-def _enumerate_raw(n: int, visitor) -> int:
-    count = 0
-    for g in all_graphs(n):
-        count += 1
-        if visitor is not None:
-            visitor(g)
-    return count
-
-
-def _enumerate_isomorph_free(n: int, visitor) -> tuple[int, int]:
+def _enumerate_isomorph_free(n: int) -> tuple[list[ColoredGraph], int]:
     """Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26 (1998)): extend representatives one vertex at a time.
 
@@ -441,13 +432,9 @@ def _enumerate_isomorph_free(n: int, visitor) -> tuple[int, int]:
     codes removes the duplicates that automorphic extensions of one parent
     give.  Each isomorphism class is then produced exactly once.
 
-    Returns (number of classes, number of children canonicalised).
+    Returns (one graph per class, number of children canonicalised).
     """
-    if n == 0:
-        if visitor is not None:
-            visitor(ColoredGraph(0, 0))
-        return 1, 0
-    level: list[ColoredGraph] = [ColoredGraph(1, 0)]
+    level: list[ColoredGraph] = [ColoredGraph(min(n, 1), 0)]
     forms = 0
     for k in range(2, n + 1):
         # An invariant (a, r) is packed as a*k + r, which orders like the
@@ -485,10 +472,7 @@ def _enumerate_isomorph_free(n: int, visitor) -> tuple[int, int]:
                 seen.add(best)
                 nxt.append(_relabelled(child, best, canon))
         level = nxt
-    for g in level:
-        if visitor is not None:
-            visitor(g)
-    return len(level), forms
+    return level, forms
 
 
 def enumerate_graphs(
@@ -501,15 +485,18 @@ def enumerate_graphs(
     raw mode visits all 3^C(n,2) labelled graphs (n <= 6); isomorph_free
     visits one representative per isomorphism class (n <= 8).
     """
-    forms = 0
     if mode == "raw":
-        count = _enumerate_raw(n, visitor)  # all_graphs checks the bound
+        graphs, forms = all_graphs(n), 0  # all_graphs checks the bound
     elif mode == "isomorph_free":
         if n > ISO_ENUM_BOUND:
             raise ValueError("isomorph-free bound %d exceeded (n=%d)" % (ISO_ENUM_BOUND, n))
-        count, forms = _enumerate_isomorph_free(n, visitor)
+        graphs, forms = _enumerate_isomorph_free(n)
     else:
         raise ValueError("unknown enumeration mode %r" % (mode,))
+    count = 0
+    for count, g in enumerate(graphs, 1):
+        if visitor is not None:
+            visitor(g)
     return EnumerationStats(n=n, mode=mode, count=count, canonical_forms=forms)
 
 

@@ -64,72 +64,69 @@ class HomSearchResult:
 
 
 def verify_certificate(g: ColoredGraph, cert: HomCertificate) -> bool:
-    """Re-check every certificate invariant against g; never trusts a search.
+    """Re-check a certificate against g; never trusts a search.
 
-    Raises ValueError for malformed partitions (overlap or non-cover);
-    returns False for weight violations.
-    """
-    seen: set[int] = set()
+    One rule for every kind: each pair inside a class is green, and each
+    pair between classes i and j weighs at most w(i, j) in the target on the
+    k classes, which the kind picks: ``gen_rk(k)`` for 'rk', ``gen_rk(k)``
+    with the designated pair blue for 'rk_minus', cert.target for 'general'.
+    Raises ValueError for a malformed partition, then (if every class is
+    green) for a malformed kind, designated pair or target."""
+    # Per class, its vertices and the vertices nonzero and red to it: a pair
+    # between classes i and j breaks a cap w < 2 when it is in above[i][w].
+    seen = 0
+    masks = []
+    above = []
     for cls in cert.classes:
+        before = seen
+        ge1 = red = 0
         for v in cls:
             if not 0 <= v < g.n:
                 raise ValueError("vertex %d out of range" % v)
-            if v in seen:
+            if seen >> v & 1:
                 raise ValueError("vertex %d occurs in two classes" % v)
-            seen.add(v)
-    if len(seen) != g.n:
-        raise ValueError("classes cover %d of %d vertices" % (len(seen), g.n))
+            seen |= 1 << v
+            ge1 |= g.ge1_mask(v)
+            red |= g.red_mask(v)
+        masks.append(seen ^ before)
+        above.append((ge1, red))
+    if seen.bit_count() != g.n:
+        raise ValueError("classes cover %d of %d vertices" % (seen.bit_count(), g.n))
 
-    for cls in cert.classes:
-        members = sorted(cls)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if g.weight(u, v) != 0:
-                    return False
-    if cert.kind == "rk":
-        return True
+    if any(a[0] & m for a, m in zip(above, masks)):
+        return False
+    k = len(cert.classes)
+    table = [[2] * k for _ in range(k)]  # gen_rk(k)
     if cert.kind == "rk_minus":
         if cert.designated is None:
             raise ValueError("rk_minus certificate lacks a designated pair")
         i, j = cert.designated
-        if i == j or not (0 <= i < len(cert.classes) and 0 <= j < len(cert.classes)):
+        if i == j or not (0 <= i < k and 0 <= j < k):
             raise ValueError("designated pair %r is invalid" % (cert.designated,))
-        for u in cert.classes[i]:
-            for v in cert.classes[j]:
-                if g.weight(u, v) == 2:
-                    return False
-        return True
-    if cert.kind == "general":
+        table[i][j] = table[j][i] = 1
+    elif cert.kind == "general":
         if cert.target is None:
             raise ValueError("general certificate lacks a target graph")
-        if len(cert.classes) != cert.target.n:
+        if k != cert.target.n:
             raise ValueError("class count differs from target order")
-        for i in range(len(cert.classes)):
-            for j in range(i + 1, len(cert.classes)):
-                cap = cert.target.weight(i, j)
-                if cap == 2:
-                    continue
-                for u in cert.classes[i]:
-                    for v in cert.classes[j]:
-                        if g.weight(u, v) > cap:
-                            return False
-        return True
-    raise ValueError("unknown certificate kind %r" % (cert.kind,))
+        table = cert.target.matrix()
+    elif cert.kind != "rk":
+        raise ValueError("unknown certificate kind %r" % (cert.kind,))
 
-
-def _checked(g: ColoredGraph, cert: HomCertificate) -> HomCertificate:
-    """Return a search's certificate after re-checking it with verify_certificate."""
-    if not verify_certificate(g, cert):
-        raise SelfCheckError("%s certificate fails verify_certificate" % cert.kind)
-    return cert
+    return not any(
+        above[i][table[i][j]] & masks[j] for i in range(k) for j in range(i + 1, k) if table[i][j] < 2
+    )
 
 
 def _result(g: ColoredGraph, classes, nodes: int, **fields) -> HomSearchResult:
     """Wrap a search's classes (None when there is no homomorphism) in a
-    re-checked certificate of the given fields."""
+    certificate of the given fields, re-checked with verify_certificate."""
     if classes is None:
         return HomSearchResult(None, nodes)
-    return HomSearchResult(_checked(g, HomCertificate(classes=classes, **fields)), nodes)
+    cert = HomCertificate(classes=classes, **fields)
+    if not verify_certificate(g, cert):
+        raise SelfCheckError("%s certificate fails verify_certificate" % cert.kind)
+    return HomSearchResult(cert, nodes)
 
 
 # Quotients remembered per target before its table is emptied: about 6 MiB.

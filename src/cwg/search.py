@@ -228,14 +228,15 @@ def _reference_is_free(g: ColoredGraph, family: list[ColoredGraph]) -> bool:
     return all(find_embedding(f, g) is None for f in family)
 
 
-def _recheck_counterexample(g, family, threshold, hom) -> None:
-    """Independent re-verification through the reference module paths."""
+def _recheck_witness(g, family, degree_ok: bool, hom, label: str) -> None:
+    """Re-check a reported graph, named ``label`` in errors, through the
+    reference paths: it is family-free, ``degree_ok`` holds, hom finds no map."""
     if not _reference_is_free(g, family):
-        raise SelfCheckError("reported counterexample is not family-free")
-    if not threshold.exceeds(min_degree(g), g.n):
-        raise SelfCheckError("reported counterexample misses the degree bound")
+        raise SelfCheckError("%s is not family-free" % label)
+    if not degree_ok:
+        raise SelfCheckError("%s misses the degree condition" % label)
     if hom(g) is not None:
-        raise SelfCheckError("reported counterexample admits a homomorphism")
+        raise SelfCheckError("%s admits a homomorphism" % label)
 
 
 def _minimize_counterexample(g, threshold, hom) -> ColoredGraph:
@@ -328,9 +329,10 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str) -> SearchReport:
             outcome="verified",
             statistics=statistics,
         )
-    _recheck_counterexample(g, family, threshold, hom)
+    label = "reported counterexample"
+    _recheck_witness(g, family, threshold.exceeds(min_degree(g), n), hom, label)
     g = _minimize_counterexample(g, threshold, hom)
-    _recheck_counterexample(g, family, threshold, hom)
+    _recheck_witness(g, family, threshold.exceeds(min_degree(g), n), hom, label)
     return SearchReport(
         kind="theorem_verify",
         parameters=parameters,
@@ -462,12 +464,8 @@ def empirical_threshold(n: int, r: int, kind: str) -> SearchReport:
         if witness is not None:
             value = d
             break
-    if witness is not None and not (
-        _reference_is_free(witness, family)
-        and min_degree(witness) == value
-        and hom(witness) is None
-    ):
-        raise SelfCheckError("threshold witness failed independent re-check")
+    if witness is not None:
+        _recheck_witness(witness, family, min_degree(witness) == value, hom, "threshold witness")
 
     return SearchReport(
         kind="threshold",

@@ -111,6 +111,19 @@ class TestExtremalCompletion:
         with pytest.raises(ValueError):
             extremal_completion(gen_bk(2), gen_family(4), policy="zigzag")
 
+    def test_lex_policy_rejects_a_seed(self):
+        with pytest.raises(ValueError, match="lex.*seed.*5"):
+            extremal_completion(gen_bk(2), gen_family(4), seed=5)
+
+    def test_policy_is_checked_before_freeness(self):
+        # gen_rk(3) is not F:6-free; the policy errors come first.
+        with pytest.raises(ValueError, match="zigzag"):
+            extremal_completion(gen_rk(3), gen_family(6), policy="zigzag")
+        with pytest.raises(ValueError, match="seed"):
+            extremal_completion(gen_rk(3), gen_family(6), policy="lex", seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            extremal_completion(gen_rk(3), gen_family(6), policy="random")
+
 
 class TestFindWicked:
     def test_red_triangle_has_none(self):
@@ -235,6 +248,7 @@ class TestDecompose:
         out = decompose(g, 3)
         assert isinstance(out, FailureDiagnosis)
         assert out.step == "blue_triangle"
+        assert out.witness == (0, 1, 2)
 
     def test_odd_blue_cycle_diagnosed(self):
         # Blue 5-cycle (triangle-free, odd) plus a red-joined vertex.
@@ -244,6 +258,7 @@ class TestDecompose:
         out = decompose(g, 3)
         assert isinstance(out, FailureDiagnosis)
         assert out.step == "odd_blue_cycle"
+        assert out.witness == (2, 3)
 
     def test_red_clique_reports_no_blue_class(self):
         out = decompose(gen_rk(3), 3)
@@ -283,6 +298,27 @@ class TestJExclusionConformance:
 
 
 class TestStructureReport:
+    def test_classes_are_le1_components(self, rng):
+        # Union-find over the pairs of weight at most 1; components listed
+        # by least vertex, each sorted.
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 10))
+            parent = list(range(g.n))
+
+            def root(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            for x, y in pair_list(g.n):
+                if g.weight(x, y) <= 1:
+                    parent[root(y)] = root(x)
+            comps = {}
+            for v in range(g.n):
+                comps.setdefault(root(v), []).append(v)
+            rows = build_structure_report(g, 3).classes
+            assert [row["vertices"] for row in rows] == sorted(comps.values())
+
     def test_ehss_blowup(self):
         rep = build_structure_report(gen_ehss_blowup(3).graph, 3)
         assert rep.wicked_triangles == []

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -289,6 +290,25 @@ class TestAnalyze:
         assert payload["decomposition"]["ok"] is False
         validate(schema, payload)
 
+    # sha256 of the whole --json stdout, which carries no timing.
+    @pytest.mark.parametrize(
+        "r, host, digest",
+        [
+            (3, lambda: gen_even_extremal(3, 2),
+             "873f70e8a9d2ee35ebb3a90fe9b9e031390fc9716f6836f1bc4814784d359bdd"),
+            (4, lambda: gen_ehss_blowup(4),
+             "65458283f832071bf632104a298728d85f314382465c1949a7dfc42a4afb96b9"),
+            (4, lambda: gen_even_extremal(4, 1),
+             "273848dcd46210c6b0adb5bc7f86306c36c7a2200f35908da60d21309f2c3277"),
+        ],
+        ids=["even-extremal-3-2", "ehss-blowup-4", "even-extremal-4-1"],
+    )
+    def test_report_is_pinned(self, tmp_path, capsys, r, host, digest):
+        path = tmp_path / "g.cwg"
+        write_cwg(path, host().graph)
+        assert main(["analyze", "--r", str(r), str(path), "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestComplete:
     def test_completion(self, tmp_path, capsys, schema):
@@ -316,6 +336,17 @@ class TestComplete:
         assert code == 0
         assert payload["graph"] == {"n": 3, "weights": "110"}
         validate(schema, payload)
+
+    def test_seed_with_lex_policy_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "g.cwg"
+        src.write_text("cwg 3\n000\n")
+        for policy in ([], ["--policy", "lex"]):
+            argv = ["complete", "--family", "F:4", str(src), "--seed", "5", "--json"] + policy
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:") and "--seed 5" in lines[0]
 
 
 class TestVerify:

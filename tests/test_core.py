@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -287,6 +288,28 @@ class TestEnumeration:
             brute = set()
             enumerate_graphs(n, "raw", lambda g: brute.add(canonical_form(g).code))
             assert codes == brute
+
+    # sha256 of the visited graphs' .cwg texts, concatenated in visit order.
+    @pytest.mark.parametrize(
+        "mode, n, count, digest",
+        [
+            ("raw", 0, 1, "84812ad4d3735a1fa49a1d4e09b7d33157afac0e1c6248473f8c8a9e024186e3"),
+            ("raw", 1, 1, "adeab22d09b61245e303aea74db3d00fde0c6e7715951246d00e220ae58f6dba"),
+            ("raw", 2, 3, "b0dc3f7f1ee7a6db92b043a5438223bcb51508e94ae9aaac76c7830b25d275bc"),
+            ("raw", 3, 27, "092abd2407f505e63595ef95e5f1b47120c01c16ca2d4d008e4c1b82f5ebf50d"),
+            ("isomorph_free", 0, 1, "84812ad4d3735a1fa49a1d4e09b7d33157afac0e1c6248473f8c8a9e024186e3"),
+            ("isomorph_free", 1, 1, "adeab22d09b61245e303aea74db3d00fde0c6e7715951246d00e220ae58f6dba"),
+            ("isomorph_free", 2, 3, "b0dc3f7f1ee7a6db92b043a5438223bcb51508e94ae9aaac76c7830b25d275bc"),
+            ("isomorph_free", 3, 10, "4188788a7898d92390974ce579094bfdf0396fd66321c6ae42c222950b7d1b7f"),
+            ("isomorph_free", 4, 66, "340a1f5107ef403d48a1a94378775951ff6b310c15dd5ccf04a24fc6cae64758"),
+            ("isomorph_free", 5, 792, "846e0084538b3482146dcf483ea5d430fab4ffdbd4514339e245d68ece4f9d59"),
+        ],
+    )
+    def test_visit_order_is_pinned(self, mode, n, count, digest):
+        seen = []
+        stats = enumerate_graphs(n, mode, seen.append)
+        assert stats.count == len(seen) == count
+        assert hashlib.sha256("".join(to_cwg(g) for g in seen).encode()).hexdigest() == digest
 
     def test_bounds(self):
         with pytest.raises(ValueError):

@@ -231,6 +231,48 @@ class TestVerifyCertificate:
         # target blue everywhere except (0,1): red pairs of g land on blue caps
         assert not verify_certificate(g, swapped)
 
+    def test_kinds_agree_with_general_and_the_definition(self, rng):
+        # rk and rk_minus certificates give the answer of a general one into
+        # gen_rk(k), with the designated pair blue for rk_minus, and all
+        # equal the definition: a map keeping every weight at most the
+        # target weight of the image pair (0 inside a class).
+        seen = set()
+        for _ in range(600):
+            n, k = rng.randint(0, 8), rng.randint(2, 5)
+            i, j = rng.sample(range(k), 2)
+            caps = [[0 if a == b else 1 if {a, b} == {i, j} else 2 for b in range(k)] for a in range(k)]
+            label = [rng.randrange(k) for _ in range(n)]
+            # Mostly within the caps, so that both answers occur.
+            g = ColoredGraph.from_pair_weights(n, {
+                (x, y): rng.randint(0, 2) if rng.random() < 0.1 else rng.randint(0, caps[label[x]][label[y]])
+                for x in range(n)
+                for y in range(x + 1, n)
+            })
+            classes = tuple(frozenset(v for v in range(n) if label[v] == c) for c in range(k))
+
+            def oracle(top):
+                return all(
+                    g.weight(x, y) <= top(label[x], label[y])
+                    for x in range(n)
+                    for y in range(x + 1, n)
+                )
+
+            rk = verify_certificate(g, HomCertificate(kind="rk", classes=classes))
+            assert rk == verify_certificate(
+                g, HomCertificate(kind="general", classes=classes, target=gen_rk(k))
+            )
+            assert rk == oracle(lambda a, b: 0 if a == b else 2)
+            minus = verify_certificate(
+                g, HomCertificate(kind="rk_minus", classes=classes, designated=(i, j))
+            )
+            assert minus == verify_certificate(
+                g,
+                HomCertificate(kind="general", classes=classes, target=gen_rk(k).with_weight(i, j, 1)),
+            )
+            assert minus == oracle(lambda a, b: caps[a][b])
+            seen.add((rk, minus))
+        assert seen == {(True, True), (True, False), (False, False)}
+
 
 class TestBudget:
     def test_budget_exceeded_is_distinguishable(self):

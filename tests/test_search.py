@@ -28,7 +28,7 @@ from cwg.search import (
     SearchReport,
     _minimize_counterexample,
     _raw_graphs,
-    _recheck_counterexample,
+    _recheck_witness,
     _reference_is_free,
     _scan_raw,
     _theorem_setup,
@@ -233,22 +233,26 @@ class TestCounterexampleMachinery:
         fam = gen_family(5)
         thr = Threshold(3, 5)
         hom = lambda h: find_hom_rk(h, 2)
-        _recheck_counterexample(g, fam, thr, hom)
+        label = "reported counterexample"
+        _recheck_witness(g, fam, thr.exceeds(min_degree(g), g.n), hom, label)
         small = _minimize_counterexample(g, thr, hom)
-        _recheck_counterexample(small, fam, thr, hom)
+        _recheck_witness(small, fam, thr.exceeds(min_degree(small), small.n), hom, label)
         assert edge_weight_sum(small) <= edge_weight_sum(g)
 
     def test_recheck_rejects_bogus(self):
         fam = gen_family(5)
-        thr = Threshold(0, 1)
         hom = lambda h: find_hom_rk(h, 2)
-        with pytest.raises(AssertionError):
-            _recheck_counterexample(gen_bk(2), fam, thr, hom)  # hom exists
-        with pytest.raises(AssertionError):
-            _recheck_counterexample(gen_bk(4), fam, thr, hom)  # not family-free
-        with pytest.raises(AssertionError):
+
+        def recheck(g, thr):
+            _recheck_witness(g, fam, thr.exceeds(min_degree(g), g.n), hom, "reported counterexample")
+
+        with pytest.raises(AssertionError, match="reported counterexample admits"):
+            recheck(gen_bk(2), Threshold(0, 1))  # hom exists
+        with pytest.raises(AssertionError, match="reported counterexample is not family-free"):
+            recheck(gen_bk(4), Threshold(0, 1))  # not family-free
+        with pytest.raises(AssertionError, match="reported counterexample misses"):
             # Correct conclusion failure but misses the degree bound.
-            _recheck_counterexample(gen_bk(3), fam, Threshold(3, 1), hom)
+            recheck(gen_bk(3), Threshold(3, 1))
 
 
 class TestCodeRoundTrip:
