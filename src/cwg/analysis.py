@@ -67,7 +67,8 @@ def extremal_completion(
     graph.  One ``FamilyChecker`` compiled for the completion checks the
     whole input.  The current graph stays family-free, so each raise is
     tested only for copies through the raised pair
-    (``FamilyChecker.witness`` with ``raised``) on one ``MaskHost`` that
+    (``FamilyChecker.witness`` with ``raised``, whose clique searches start
+    from both ends of the pair) on one ``MaskHost`` that
     holds the current weights: ``MaskHost.set`` raises the pair and, when a
     member appears, puts its weight back.  The result graph is built once
     at the end.  Only the random policy takes a seed.
@@ -105,8 +106,9 @@ def extremal_completion(
 
 def find_wicked(g: ColoredGraph, blue_only: bool = False) -> list[tuple[int, int, int]]:
     """All triples (x, y, z), x < y, with xy red and xz, yz non-red
-    (both blue under blue_only).  The apexes of a red pair xy are one mask:
-    the vertices other than x and y that are red to neither."""
+    (both blue under blue_only, ``_blue_wicked``).  The apexes of a red
+    pair xy are one mask: the vertices other than x and y that are red to
+    neither."""
     n = g.n
     out = []
     for x in range(n):
@@ -114,10 +116,15 @@ def find_wicked(g: ColoredGraph, blue_only: bool = False) -> list[tuple[int, int
             if not g.red_mask(x) >> y & 1:
                 continue
             apexes = ~(g.red_mask(x) | g.red_mask(y) | 1 << x | 1 << y)
-            if blue_only:
-                apexes &= g.ge1_mask(x) & g.ge1_mask(y)
             out += [(x, y, z) for z in range(n) if apexes >> z & 1]
-    return out
+    return _blue_wicked(g, out) if blue_only else out
+
+
+def _blue_wicked(g: ColoredGraph, wicked: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The triples of ``find_wicked(g)`` whose apex is nonzero, hence blue,
+    to both ends of the red pair, in the same order."""
+    ge1 = [g.ge1_mask(v) for v in range(g.n)]
+    return [(x, y, z) for x, y, z in wicked if ge1[z] >> x & ge1[z] >> y & 1]
 
 
 def secure_audit(
@@ -306,8 +313,8 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
 
 def build_structure_report(g: ColoredGraph, r: int) -> StructureReport:
     """Collect the audits behind the analyze command into one report."""
-    wicked = find_wicked(g, blue_only=False)
-    blue_wicked = find_wicked(g, blue_only=True)
+    wicked = find_wicked(g)
+    blue_wicked = _blue_wicked(g, wicked)
     insecure_blue, insecure_green = secure_audit(g, r)
     j_emb = find_embedding(gen_j(r).graph, g) if r >= 3 else None
     classes = _le1_classes(g)

@@ -12,11 +12,12 @@ at a time updates in place through ``MaskHost.set``, their one writer.
 implementation.  ``FamilyChecker`` compiles a family once: members that
 are a red clique fully joined to a blue clique (every member of the
 standard families) become bitmask clique searches, and only the remaining
-members go to the backtracker.  Its one
-search method, ``FamilyChecker.witness``, tests a whole host or only the
-copies through a pair just raised in a family-free graph.  The same
-compilation gives the raw scan its pair conditions
-(``FamilyChecker.conditions``).  ``is_free`` runs on the compiled engine.
+members go to the backtracker.  Its one search method,
+``FamilyChecker.witness``, tests a whole host or only the copies through a
+pair just raised in a family-free graph: such a copy contains both ends of
+the pair, so the clique search of a two-level member starts from them,
+seeded in each role the member allows.  The same compilation gives the
+raw scan its pair conditions (``FamilyChecker.conditions``).  ``is_free`` runs on the compiled engine.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _embed(compiled: _CompiledPattern, host: ColoredGraph | MaskHost) -> Optiona
     if pattern.n > host.n:
         return None
     if pattern.n == 0:
-        return Embedding(())
+        return _checked(pattern, host, Embedding(()))
     ge1, red = host._ge1, host._red
     host_ge1_count = [mask.bit_count() for mask in ge1]
     host_red_count = [mask.bit_count() for mask in red]
@@ -279,8 +280,8 @@ class FamilyChecker:
 
     ``witness`` is the one search method, on a whole host or, for a search
     that raises one pair at a time in a family-free graph, on the copies
-    through the raised pair only; such a search keeps one ``MaskHost`` up
-    to date and builds no graph per step.  Build one checker per search
+    through the raised pair only, seeded with both of its ends; such a
+    search keeps one ``MaskHost`` up to date and builds no graph per step.  Build one checker per search
     and reuse it for every host the search tests.
     """
 
@@ -339,17 +340,21 @@ class FamilyChecker:
 
         With ``raised = (x, y)`` the host must have been family-free before
         its pair xy was raised.  Then every copy of a two-level member
-        contains x and y, and its other vertices are nonzero to both, since
-        all pairs of such a member are nonzero; its clique search starts
-        from that vertex set.  The generic members are always searched on
-        the whole host.  A two-level hit is re-checked pair by pair before
-        it is returned."""
+        contains both x and y, since all pairs of such a member are
+        nonzero, so its search is seeded with them: x and y are placed
+        first in each role the member allows, both red when xy is red, one
+        red and one blue either way round, or both blue, and
+        ``_two_level_cliques`` completes the copy inside their common
+        nonzero neighbourhood; a green xy is in no copy.  The generic
+        members are always searched on the whole host.  A two-level hit is
+        re-checked pair by pair before it is returned."""
         n, ge1, red = host.n, host._ge1, host._red
         if raised is None:
-            start = (1 << n) - 1
+            full = (1 << n) - 1
         else:
             x, y = raised
-            start = ge1[x] & ge1[y] | 1 << x | 1 << y
+            both = ge1[x] & ge1[y]
+            xy = 2 if red[x] >> y & 1 else ge1[x] >> y & 1
         for idx, member, shape, prepared in self._plan:
             if shape is None:
                 emb = _embed(prepared, host)
@@ -359,7 +364,24 @@ class FamilyChecker:
             o, i = shape
             if o > n:
                 continue
-            found = _two_level_cliques(ge1, red, o, i, start)
+            k = o - i
+            if raised is None:
+                found = _two_level_cliques(ge1, red, (), (), i, k, full, full)
+            elif not xy:
+                # A green pair is in no copy, and the host was free before.
+                continue
+            else:
+                # A red seed takes one of the i red places and a blue seed
+                # one of the k blue ones.
+                found = None
+                if i >= 2 and xy == 2:
+                    found = _two_level_cliques(ge1, red, (x, y), (), i - 2, k, red[x] & red[y], both)
+                if found is None and i >= 1 and k >= 1:
+                    found = _two_level_cliques(ge1, red, (x,), (y,), i - 1, k - 1, red[x] & ge1[y], both)
+                    if found is None:
+                        found = _two_level_cliques(ge1, red, (y,), (x,), i - 1, k - 1, red[y] & ge1[x], both)
+                if found is None and k >= 2:
+                    found = _two_level_cliques(ge1, red, (), (x, y), i, k - 2, both, both)
             if found is not None:
                 image = [0] * o
                 for u, h in zip(prepared, found[0] + found[1]):
@@ -408,36 +430,34 @@ class MaskHost:
 
 
 def _two_level_cliques(
-    ge1, red, o: int, i: int, start: int
+    ge1, red, reds: tuple[int, ...], blues: tuple[int, ...], i: int, k: int, red_cand: int, blue_cand: int
 ) -> Optional[tuple[list[int], list[int]]]:
-    """A red i-clique and an (o-i)-clique of nonzero pairs inside its common
-    nonzero neighbourhood, all within the vertex set ``start``, as (red
-    vertices, blue vertices); None if the host has none.  Vertices are
+    """Complete the seeds to a red clique fully joined to a clique of
+    nonzero pairs: i more red vertices from red_cand, pairwise red, and
+    then k more vertices from blue_cand, pairwise nonzero and nonzero to
+    every new red vertex.  Returns (reds and the new red vertices, blues
+    and the new blue vertices), or None if there is no such completion.
+
+    The caller fits the masks to the seeds: red_cand holds vertices red to
+    every red seed and nonzero to every blue seed, blue_cand vertices
+    nonzero to every seed, and red_cand lies inside blue_cand.  With no
+    seeds and both masks full this searches the whole host.  Each new red
+    vertex becomes a red seed of the search for the rest.  Vertices are
     tried in ascending order, so the witness is deterministic."""
-    k = o - i
-
-    def red_part(cand: int, need: int, common: int, acc: list[int]):
-        # common is the nonzero neighbourhood shared by acc; it never
-        # contains a vertex of acc, since no vertex is its own neighbour.
-        while cand:
-            if cand.bit_count() < need:
-                return None
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            ncommon = common & ge1[v]
-            if ncommon.bit_count() < need - 1 + k:
-                continue
-            if need == 1:
-                blues = find_clique(ge1, ncommon, k)
-                if blues is not None:
-                    return acc + [v], blues
-            else:
-                res = red_part(cand & red[v], need - 1, ncommon, acc + [v])
-                if res is not None:
-                    return res
-        return None
-
     if i == 0:
-        blues = find_clique(ge1, start, k)
-        return None if blues is None else ([], blues)
-    return red_part(start, i, start, [])
+        found = find_clique(ge1, blue_cand, k)
+        return None if found is None else ([*reds], [*blues, *found])
+    while red_cand:
+        if red_cand.bit_count() < i:
+            return None
+        v = (red_cand & -red_cand).bit_length() - 1
+        red_cand &= red_cand - 1
+        # No vertex is its own neighbour, so v leaves blue_cand here; the
+        # red vertices still to be placed lie in red_cand, hence in common.
+        common = blue_cand & ge1[v]
+        if common.bit_count() < i - 1 + k:
+            continue
+        hit = _two_level_cliques(ge1, red, (*reds, v), blues, i - 1, k, red_cand & red[v], common)
+        if hit is not None:
+            return hit
+    return None

@@ -41,7 +41,7 @@ class HomCertificate:
     classes[i] is the preimage of target vertex i (possibly empty).  For
     kind 'rk_minus', designated names the two class indices mapped to the
     blue pair of the target.  For kind 'general' the explicit target graph
-    is carried along.
+    is carried along.  No other kind takes either field.
     """
 
     kind: str
@@ -71,7 +71,9 @@ def verify_certificate(g: ColoredGraph, cert: HomCertificate) -> bool:
     k classes, which the kind picks: ``gen_rk(k)`` for 'rk', ``gen_rk(k)``
     with the designated pair blue for 'rk_minus', cert.target for 'general'.
     Raises ValueError for a malformed partition, then (if every class is
-    green) for a malformed kind, designated pair or target."""
+    green) for a malformed kind, designated pair or target, or for a field
+    the kind does not take: a designated pair belongs only to 'rk_minus'
+    and a target only to 'general'."""
     # Per class, its vertices and the vertices nonzero and red to it: a pair
     # between classes i and j breaks a cap w < 2 when it is in above[i][w].
     seen = 0
@@ -112,6 +114,10 @@ def verify_certificate(g: ColoredGraph, cert: HomCertificate) -> bool:
         table = cert.target.matrix()
     elif cert.kind != "rk":
         raise ValueError("unknown certificate kind %r" % (cert.kind,))
+    if cert.designated is not None and cert.kind != "rk_minus":
+        raise ValueError("%s certificate takes no designated pair" % cert.kind)
+    if cert.target is not None and cert.kind != "general":
+        raise ValueError("%s certificate takes no target graph" % cert.kind)
 
     return not any(
         above[i][table[i][j]] & masks[j] for i in range(k) for j in range(i + 1, k) if table[i][j] < 2

@@ -373,7 +373,8 @@ def compute_ex(n: int, family: list[ColoredGraph], weight_cap: int = 2) -> Searc
     first; the value is None when the root already contains a member.
     Every accepted node is family-free, so a node with a positive new
     weight on pair xy is tested only for copies through x and y
-    (``FamilyChecker.witness`` with ``raised``) on one ``MaskHost``; each
+    (``FamilyChecker.witness`` with ``raised``, whose clique searches start
+    from x and y in each role a member allows) on one ``MaskHost``; each
     tried weight is written with ``MaskHost.set``, and the last one tried
     is green, so backtracking needs no undo.  No graph and no weight list
     is kept during the search.  The best weights are read from the host

@@ -151,6 +151,17 @@ class TestFindWicked:
             g = random_graph(rng, 6)
             assert set(find_wicked(g, blue_only=True)) <= set(find_wicked(g))
 
+    def test_blue_only_filters_the_full_list(self, rng):
+        # The report lists the blue-only triples by filtering the full list
+        # once; the public blue_only search gives the same list.
+        for _ in range(50):
+            g = random_graph(rng, 6)
+            full = find_wicked(g)
+            blue = [(x, y, z) for x, y, z in full if g.weight(x, z) == 1 and g.weight(y, z) == 1]
+            assert find_wicked(g, blue_only=True) == blue
+            report = build_structure_report(g, 3)
+            assert (report.wicked_triangles, report.blue_wicked) == (full, blue)
+
     def test_definition_directly(self, rng):
         for _ in range(30):
             g = random_graph(rng, 5)

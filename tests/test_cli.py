@@ -329,6 +329,27 @@ class TestComplete:
         assert read_cwg(out).upper_string() == "111"
         validate(schema, payload)
 
+    # sha256 of the whole --json stdout on an all-green host, recorded from
+    # the search that started each raised-pair clique search from every
+    # common neighbour of the pair.
+    @pytest.mark.parametrize(
+        "t, n, seed, digest",
+        [
+            (6, 16, 1, "46ca54a3174726414840cedafa154dbaf8bf8459183d0be4a1217398d0dd437f"),
+            (6, 16, 2, "d3b063688d4c4e034029c4b9f7c0594d1a3ae84f8142d963b876f29dcb1caa53"),
+            (6, 16, 3, "46f56bebd30cfdb038ce12bcbe6339e5f41baf24e4c7b844207c3edbc2eabe84"),
+            (8, 12, 1, "ef480b95a594f07c2b73fec4f2f71f400bcc3efaea3e8ae178e58d58295cc44a"),
+            (8, 12, 2, "031e57f773c2051ead6909566d7a0be6ce209dce1a517c87b7062fc2df2d0c62"),
+            (8, 12, 3, "46d290c9677eeea3d16d87768106b188c95a284e15f7b586cf2b835703655e48"),
+        ],
+    )
+    def test_random_completion_is_pinned(self, tmp_path, capsys, t, n, seed, digest):
+        path = tmp_path / "green.cwg"
+        write_cwg(path, ColoredGraph.uniform(n, 0))
+        argv = ["complete", "--family", "F:%d" % t, "--policy", "random", "--seed", str(seed), str(path), "--json"]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_json_without_output_is_one_document(self, tmp_path, capsys, schema):
         src = tmp_path / "g.cwg"
         src.write_text("cwg 3\n000\n")

@@ -46,12 +46,19 @@ def test_compiled_matches_backtracker(host, family):
     assert (family[idx].n, idx) == min((f.n, i) for i, f in enumerate(family) if embeds[i])
 
 
+def single_members():
+    """One member on its own: J(3) or a member of order at most 6 of F:3 to
+    F:8, with a red clique of 0, 2 or 3 vertices."""
+    pool = [gen_j(3).graph] + [member for t in range(3, 9) for member in gen_family(t) if member.n <= 6]
+    return st.sampled_from(pool).map(lambda member: [member])
+
+
 @st.composite
-def raised_free_graphs(draw):
+def raised_free_graphs(draw, family_strategy=families()):
     """(family, F-free graph, pair (x, y), graph with xy raised).  The free
     graph takes drawn weights pair by pair, each lowered until the generic
     backtracker finds the graph so far free; then one pair goes up."""
-    family = draw(families())
+    family = draw(family_strategy)
     n = draw(st.integers(2, 7))
     pairs = pair_list(n)
     digits = [0] * len(pairs)
@@ -84,3 +91,18 @@ def test_copies_through_raised_pair(case):
         assert verify_embedding(family[idx], after, emb)
         # A copy that avoids x or y would already be a copy in the free graph.
         assert x in emb.map and y in emb.map
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(raised_free_graphs(single_members()), st.booleans())
+def test_raised_verdict_matches_whole_host_per_member(case, swap):
+    """The seeded search through the raised pair, given either way round,
+    and the unseeded search on the whole host agree on every member alone."""
+    family, before, (x, y), after = case
+    if swap:
+        x, y = y, x
+    checker = FamilyChecker(family)
+    assert checker.witness(before) is None
+    host = MaskHost(before._ge1, before._red)
+    host.set(x, y, after.weight(x, y))
+    assert (checker.witness(host, (x, y)) is None) == (checker.witness(after) is None)

@@ -214,6 +214,29 @@ class TestVerifyCertificate:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "kind, own, stray",
+        [
+            ("rk", {}, {"designated": (0, 1)}),
+            ("rk", {}, {"target": gen_bk(2)}),
+            ("rk_minus", {"designated": (0, 1)}, {"target": gen_bk(2)}),
+            ("general", {"target": gen_bk(2)}, {"designated": (0, 1)}),
+        ],
+    )
+    def test_field_of_another_kind_raises(self, kind, own, stray):
+        g = gen_bk(2)
+        classes = (frozenset({0}), frozenset({1}))
+        assert verify_certificate(g, HomCertificate(kind=kind, classes=classes, **own))
+        with pytest.raises(ValueError, match="takes no"):
+            verify_certificate(g, HomCertificate(kind=kind, classes=classes, **own, **stray))
+
+    def test_rk_with_designated_pair_and_target_raises(self):
+        cert = HomCertificate(
+            kind="rk", classes=(frozenset({0}), frozenset({1})), target=gen_bk(2), designated=(0, 1)
+        )
+        with pytest.raises(ValueError):
+            verify_certificate(gen_rk(2), cert)
+
     def test_general_checks_target_caps(self):
         g = gen_rk_minus(3)  # blue pair (0,1), red elsewhere
         target = gen_rk_minus(3)

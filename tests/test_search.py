@@ -392,17 +392,71 @@ class TestComputeEx:
             (6, 4, 2, 9, 12510, "111000011011110"),
             (6, 5, 1, 12, 780, "111101101011111"),
             (5, 3, 2, 0, 30, "0000000000"),
+            (7, 4, 2, 12, 249507, "111100000110011011110"),
+            (1, 3, 1, 0, 0, ""),
+            (1, 3, 2, 0, 0, ""),
+            (2, 3, 1, 0, 2, "0"),
+            (2, 3, 2, 0, 3, "0"),
+            (3, 3, 1, 0, 6, "000"),
+            (3, 3, 2, 0, 9, "000"),
+            (4, 3, 1, 0, 12, "000000"),
+            (4, 3, 2, 0, 18, "000000"),
+            (5, 3, 1, 0, 20, "0000000000"),
+            (1, 4, 1, 0, 0, ""),
+            (1, 4, 2, 0, 0, ""),
+            (2, 4, 1, 1, 2, "1"),
+            (2, 4, 2, 1, 3, "1"),
+            (3, 4, 1, 2, 6, "110"),
+            (3, 4, 2, 2, 18, "110"),
+            (4, 4, 1, 4, 34, "110011"),
+            (4, 4, 2, 4, 111, "110011"),
+            (5, 4, 1, 6, 266, "1110001011"),
+            (5, 4, 2, 6, 1053, "1110001011"),
+            (1, 5, 1, 0, 0, ""),
+            (1, 5, 2, 0, 0, ""),
+            (2, 5, 1, 1, 2, "1"),
+            (2, 5, 2, 2, 3, "2"),
+            (3, 5, 1, 3, 6, "111"),
+            (3, 5, 2, 4, 18, "220"),
+            (4, 5, 1, 5, 12, "111110"),
+            (4, 5, 2, 8, 153, "220022"),
+            (5, 5, 1, 8, 96, "1111110011"),
+            (5, 5, 2, 12, 3189, "2220002022"),
+            (1, 6, 1, 0, 0, ""),
+            (1, 6, 2, 0, 0, ""),
+            (2, 6, 1, 1, 2, "1"),
+            (2, 6, 2, 2, 3, "2"),
+            (3, 6, 1, 3, 6, "111"),
+            (3, 6, 2, 5, 9, "221"),
+            (4, 6, 1, 6, 12, "111111"),
+            (4, 6, 2, 9, 141, "221022"),
+            (5, 6, 1, 9, 20, "1111111110"),
+            (5, 6, 2, 14, 3585, "2220112022"),
+            (1, 7, 1, 0, 0, ""),
+            (1, 7, 2, 0, 0, ""),
+            (2, 7, 1, 1, 2, "1"),
+            (2, 7, 2, 2, 3, "2"),
+            (3, 7, 1, 3, 6, "111"),
+            (3, 7, 2, 6, 9, "222"),
+            (4, 7, 1, 6, 12, "111111"),
+            (4, 7, 2, 10, 63, "222220"),
+            (5, 7, 1, 10, 20, "1111111111"),
+            (5, 7, 2, 16, 1230, "2222220022"),
         ],
     )
     def test_search_tree_is_pinned(self, n, t, cap, value, nodes, witness):
-        # Counts of the search that tested every node's whole graph;
-        # testing only copies through the raised pair visits the same nodes.
+        # Counts of the search that tested every node's whole graph; testing
+        # only copies through the raised pair, with clique searches seeded
+        # at both of its ends, visits the same nodes.
         rep = compute_ex(n, gen_family(t), cap)
         assert (rep.value, rep.statistics["nodes"], rep.witness.upper_string()) == (value, nodes, witness)
 
     @pytest.mark.parametrize(
         "n, value, nodes, witness",
         [
+            (1, 0, 0, ""),
+            (2, 2, 3, "2"),
+            (3, 4, 18, "220"),
             (4, 8, 153, "220022"),
             (5, 12, 3189, "2220002022"),
             (6, 18, 67458, "222000022022220"),
@@ -413,6 +467,20 @@ class TestComputeEx:
         # backtracker on the search's mask host.  J(3) contains an F:5
         # member and never hits, so the tree is F:5's.
         rep = compute_ex(n, gen_family(5) + [gen_j(3).graph], 2)
+        assert (rep.value, rep.statistics["nodes"], rep.witness.upper_string()) == (value, nodes, witness)
+
+    @pytest.mark.parametrize(
+        "n, value, nodes, witness",
+        [
+            (1, 0, 0, ""),
+            (2, 1, 2, "1"),
+            (3, 3, 6, "111"),
+            (4, 5, 12, "111110"),
+            (5, 8, 96, "1111110011"),
+        ],
+    )
+    def test_cap_one_search_tree_with_generic_member_is_pinned(self, n, value, nodes, witness):
+        rep = compute_ex(n, gen_family(5) + [gen_j(3).graph], 1)
         assert (rep.value, rep.statistics["nodes"], rep.witness.upper_string()) == (value, nodes, witness)
 
     def test_red_edge_forbidden_gives_blue_clique(self):

@@ -54,16 +54,18 @@ def test_ex_witness_is_rechecked(monkeypatch):
 
 
 def test_ex_node_hit_is_rechecked(monkeypatch):
-    """A clique search that reports vertices 0..o-1 where a copy through the
-    raised pair was ruled out must stop compute_ex, not prune the node and
-    lower the value.  The root check keeps the real search."""
+    """A seeded clique search that reports vertices 0..o-1 where it found
+    no copy through the raised pair must stop compute_ex, not prune the
+    node and lower the value.  The unseeded root check keeps the real
+    search."""
     original = embedding._two_level_cliques
 
-    def false_hit(ge1, red, o, i, start):
-        found = original(ge1, red, o, i, start)
-        if found is not None or start == (1 << len(ge1)) - 1:
+    def false_hit(ge1, red, reds, blues, i, k, red_cand, blue_cand):
+        found = original(ge1, red, reds, blues, i, k, red_cand, blue_cand)
+        if found is not None or not (reds or blues):
             return found
-        return list(range(i)), list(range(i, o))
+        r = len(reds) + i
+        return list(range(r)), list(range(r, r + len(blues) + k))
 
     monkeypatch.setattr(embedding, "_two_level_cliques", false_hit)
     with pytest.raises(SelfCheckError, match="verify_embedding"):
@@ -95,16 +97,17 @@ def test_wrong_canonical_relabelling_raises(monkeypatch, run):
 def test_checks_survive_optimize_flag():
     script = textwrap.dedent(
         """
-        from cwg import SelfCheckError, embedding, homomorphism, gen_family, gen_rk
+        from cwg import SelfCheckError, embedding, homomorphism, search, gen_family, gen_rk
         embedding.verify_embedding = lambda pattern, host, emb: False
         homomorphism.verify_certificate = lambda g, cert: False
         raised = 0
-        for search in (
+        for run in (
             lambda: embedding.is_free(gen_rk(3), gen_family(6)),
             lambda: homomorphism.search_hom_rk(gen_rk(3), 3),
+            lambda: search.compute_ex(5, gen_family(5)),
         ):
             try:
-                search()
+                run()
             except SelfCheckError:
                 raised += 1
         print(raised)
@@ -116,7 +119,7 @@ def test_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "2"
+    assert out.stdout.strip() == "3"
 
 
 def test_no_assert_statements_in_package():
@@ -153,4 +156,30 @@ def test_masks_have_one_writer():
             and node.attr in ("_ge1", "_red")
             and id(node) not in handed
         ]
+    assert found == []
+
+
+def test_embeddings_are_checked_where_built():
+    """Every ``Embedding(...)`` that embedding.py builds outside
+    ``verify_embedding`` is passed straight to ``_checked``, so no search
+    returns an embedding that the independent check has not seen."""
+    path = Path(embedding.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    checked = {
+        id(arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_checked"
+        for arg in node.args
+    }
+    verifier = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_embedding"
+    )
+    exempt = {id(node) for node in ast.walk(verifier)}
+    built = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Embedding"
+    ]
+    assert built
+    found = ["embedding.py:%d" % node.lineno for node in built if id(node) not in checked | exempt]
     assert found == []
