@@ -10,6 +10,7 @@ a homomorphism into the one-blue-pair red clique.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -170,6 +171,15 @@ def _le1_classes(g: ColoredGraph) -> list[list[int]]:
     return comps
 
 
+def _class_split(g: ColoredGraph) -> tuple[list[list[int]], list[bool], list[int]]:
+    """The ``_le1_classes`` classes, whether each spans a blue pair, and the
+    per-vertex blue masks.  A blue pair has weight 1, so blue[v] lies inside
+    the class of v."""
+    classes = _le1_classes(g)
+    blue = [g.ge1_mask(v) & ~g.red_mask(v) for v in range(g.n)]
+    return classes, [any(blue[v] for v in cls) for cls in classes], blue
+
+
 def _blue_bipartition(blue: list[int], cls: list[int]):
     """2-color the blue graph on a class by BFS; returns ((B, C), None), or
     (None, (v, u)) for the first blue pair found with both ends on one side,
@@ -213,82 +223,35 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
     degree_ok = g.n >= 1 and threshold.exceeds(min_degree(g), g.n)
 
     def fail(step: str, message: str, witness=None) -> FailureDiagnosis:
-        return FailureDiagnosis(
-            step=step,
-            message=message,
-            witness=witness,
-            hypothesis_free=free_ok,
-            hypothesis_degree=degree_ok,
-        )
+        return FailureDiagnosis(step, message, witness, free_ok, degree_ok)
 
     wicked = find_wicked(g)
     if wicked:
-        return fail(
-            "wicked_triangle",
-            "the weight-<=1 relation is not transitive",
-            wicked[0],
-        )
+        return fail("wicked_triangle", "the weight-<=1 relation is not transitive", wicked[0])
 
-    classes = _le1_classes(g)
-    # A blue pair has weight 1, so blue[v] lies inside the class of v.
-    blue = [g.ge1_mask(v) & ~g.red_mask(v) for v in range(g.n)]
-    blue_classes = []
-    green_classes = []
-    for cls in classes:
-        if any(blue[v] for v in cls):
-            blue_classes.append(cls)
-        else:
-            green_classes.append(cls)
+    classes, has_blue, blue = _class_split(g)
     m = len(classes)
-    s = len(blue_classes)
+    s = sum(has_blue)
     if m + s != r:
-        return fail(
-            "class_count",
-            "m + s = %d + %d differs from r = %d" % (m, s, r),
-            (m, s),
-        )
+        return fail("class_count", "m + s = %d + %d differs from r = %d" % (m, s, r), (m, s))
     if s == 0:
         return fail(
             "no_blue_class",
             "every class is a green clique, so the graph spans a red %d-clique "
             "and no designated pair exists" % r,
-            None,
         )
 
+    # The two sides of each blue class, then the green classes.
     cert_classes: list[frozenset[int]] = []
-    designated_src = None
-    for cls in blue_classes:
-        triangle = next(
-            (
-                (a, b, c)
-                for a in cls
-                for b in cls
-                if b > a and blue[a] >> b & 1
-                for c in cls
-                if (blue[a] & blue[b]) >> c & 1
-            ),
-            None,
-        )
+    for cls in itertools.compress(classes, has_blue):
+        triangle = find_clique(blue, sum(1 << v for v in cls), 3)
         if triangle is not None:
-            return fail(
-                "blue_triangle",
-                "class %r spans a blue triangle" % (cls,),
-                triangle,
-            )
+            return fail("blue_triangle", "class %r spans a blue triangle" % (cls,), tuple(triangle))
         split, odd = _blue_bipartition(blue, cls)
         if split is None:
-            return fail(
-                "odd_blue_cycle",
-                "blue graph on class %r is not bipartite" % (cls,),
-                odd,
-            )
-        b_side, c_side = split
-        if designated_src is None:
-            designated_src = (frozenset(b_side), frozenset(c_side))
-        cert_classes.append(frozenset(b_side))
-        cert_classes.append(frozenset(c_side))
-    for cls in green_classes:
-        cert_classes.append(frozenset(cls))
+            return fail("odd_blue_cycle", "blue graph on class %r is not bipartite" % (cls,), odd)
+        cert_classes += map(frozenset, split)
+    cert_classes += [frozenset(cls) for cls, spans in zip(classes, has_blue) if not spans]
 
     # Intermediate witness: a homomorphism onto the order-r graph that has a
     # blue matching of size s and red edges elsewhere.
@@ -301,8 +264,10 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
     if not verify_certificate(g, matching_cert):
         raise SelfCheckError("decomposition produced an invalid matching certificate")
 
-    cert_classes.sort(key=lambda c: min(c) if c else g.n)
-    designated = tuple(sorted(cert_classes.index(c) for c in designated_src))
+    # The designated pair is the two sides of the first blue class.
+    first_blue = cert_classes[:2]
+    cert_classes.sort(key=min)
+    designated = tuple(sorted(map(cert_classes.index, first_blue)))
     cert = HomCertificate(
         kind="rk_minus", classes=tuple(cert_classes), designated=designated
     )
@@ -317,14 +282,7 @@ def build_structure_report(g: ColoredGraph, r: int) -> StructureReport:
     blue_wicked = _blue_wicked(g, wicked)
     insecure_blue, insecure_green = secure_audit(g, r)
     j_emb = find_embedding(gen_j(r).graph, g) if r >= 3 else None
-    classes = _le1_classes(g)
-    blue = [g.ge1_mask(v) & ~g.red_mask(v) for v in range(g.n)]
-    class_rows = []
-    s = 0
-    for cls in classes:
-        has_blue = any(blue[v] for v in cls)
-        s += has_blue
-        class_rows.append({"vertices": cls, "has_blue": has_blue})
+    classes, has_blue, _ = _class_split(g)
     return StructureReport(
         wicked_triangles=wicked,
         blue_wicked=blue_wicked,
@@ -332,7 +290,7 @@ def build_structure_report(g: ColoredGraph, r: int) -> StructureReport:
         insecure_green_edges=insecure_green,
         j_embedding=j_emb,
         equivalence_ok=not wicked,
-        classes=class_rows,
-        s=s,
+        classes=[{"vertices": cls, "has_blue": spans} for cls, spans in zip(classes, has_blue)],
+        s=sum(has_blue),
         m=len(classes),
     )

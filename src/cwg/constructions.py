@@ -83,6 +83,11 @@ def gen_family(t: int) -> list[ColoredGraph]:
     part i for 1 <= i <= t/2, in index order (strictly decreasing order)."""
     if t < 2:
         raise ValueError("family parameter must be at least 2")
+    if t - 1 > ColoredGraph.MAX_ORDER:
+        raise ValueError(
+            "family F:%d has a member of order %d; graphs beyond order %d are unsupported"
+            % (t, t - 1, ColoredGraph.MAX_ORDER)
+        )
     return [gen_gab(t, i) for i in range(1, t // 2 + 1)]
 
 

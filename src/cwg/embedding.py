@@ -17,7 +17,8 @@ members go to the backtracker.  Its one search method,
 pair just raised in a family-free graph: such a copy contains both ends of
 the pair, so the clique search of a two-level member starts from them,
 seeded in each role the member allows.  The same compilation gives the
-raw scan its pair conditions (``FamilyChecker.conditions``).  ``is_free`` runs on the compiled engine.
+raw scan its pair conditions (``FamilyChecker.conditions``).  ``is_free``
+runs on the compiled engine.
 """
 
 from __future__ import annotations
@@ -211,26 +212,14 @@ def find_clique(adj: tuple[int, ...] | list[int], cand_mask: int, k: int) -> Opt
 
 
 def max_blue_clique(host: ColoredGraph) -> tuple[int, tuple[int, ...]]:
-    """Largest vertex set with all pairwise weights >= 1 (branch and bound
-    on the nonzero-weight graph); returns (size, witness)."""
-    n = host.n
-    if n == 0:
-        return 0, ()
-    adj = [host.ge1_mask(v) for v in range(n)]
+    """Largest vertex set with all pairwise weights >= 1; returns (size,
+    witness).  ``find_clique`` on the nonzero-weight graph asks for one more
+    vertex until it finds none, so the witness is the lexicographically
+    least maximum clique."""
+    adj = [host.ge1_mask(v) for v in range(host.n)]
     best: list[int] = []
-
-    def rec(cand: int, acc: list[int]) -> None:
-        nonlocal best
-        if len(acc) > len(best):
-            best = list(acc)
-        while cand:
-            if len(acc) + cand.bit_count() <= len(best):
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            rec(cand & adj[v], acc + [v])
-
-    rec((1 << n) - 1, [])
+    while (found := find_clique(adj, (1 << host.n) - 1, len(best) + 1)) is not None:
+        best = found
     return len(best), tuple(best)
 
 
@@ -281,8 +270,9 @@ class FamilyChecker:
     ``witness`` is the one search method, on a whole host or, for a search
     that raises one pair at a time in a family-free graph, on the copies
     through the raised pair only, seeded with both of its ends; such a
-    search keeps one ``MaskHost`` up to date and builds no graph per step.  Build one checker per search
-    and reuse it for every host the search tests.
+    search keeps one ``MaskHost`` up to date and builds no graph per step.
+    Build one checker per search and reuse it for every host the search
+    tests.
     """
 
     def __init__(self, family: list[ColoredGraph]):
@@ -346,13 +336,18 @@ class FamilyChecker:
         red and one blue either way round, or both blue, and
         ``_two_level_cliques`` completes the copy inside their common
         nonzero neighbourhood; a green xy is in no copy.  The generic
-        members are always searched on the whole host.  A two-level hit is
-        re-checked pair by pair before it is returned."""
+        members are always searched on the whole host.  A raised pair
+        that is not two distinct vertices of the host is a ``ValueError``.
+        A two-level hit is re-checked pair by pair before it is returned."""
         n, ge1, red = host.n, host._ge1, host._red
         if raised is None:
             full = (1 << n) - 1
         else:
             x, y = raised
+            if x == y or not (0 <= x < n and 0 <= y < n):
+                raise ValueError(
+                    "raised pair %r is not two distinct vertices of an order-%d host" % (raised, n)
+                )
             both = ge1[x] & ge1[y]
             xy = 2 if red[x] >> y & 1 else ge1[x] >> y & 1
         for idx, member, shape, prepared in self._plan:

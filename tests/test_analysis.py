@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from cwg.core import ColoredGraph, even_threshold, min_degree, pair_list
@@ -280,6 +283,49 @@ class TestDecompose:
     def test_r_validation(self):
         with pytest.raises(ValueError):
             decompose(gen_rk(3), 2)
+
+    # sha256 over every case's graph, r, decomposition step and witness (or
+    # certificate classes and designated pair) and report classes, recorded
+    # from the decomposition with its own blue-triangle search and class
+    # split.
+    CORPUS_DIGEST = "becdb21faceb06bfd6101f21a7bdef527f2502cce1714bbc15b5ff56c1768bf5"
+
+    def test_seeded_corpus_is_pinned(self):
+        rng = random.Random(19)
+        steps = {}
+        digest = hashlib.sha256()
+        for case in range(800):
+            r = rng.randint(3, 7)
+            g = _class_structured(rng, r) if case % 8 else random_graph(rng, rng.randint(0, 7))
+            out = decompose(g, r)
+            if isinstance(out, FailureDiagnosis):
+                summary = (out.step, out.witness, out.hypothesis_free, out.hypothesis_degree)
+            else:
+                assert verify_certificate(g, out)
+                summary = ("ok", [sorted(c) for c in out.classes], out.designated)
+            steps[summary[0]] = steps.get(summary[0], 0) + 1
+            report = build_structure_report(g, 3)
+            digest.update(repr((g.n, g.upper_string(), r, summary, report.m, report.s, report.classes)).encode())
+        assert set(steps) == {"wicked_triangle", "class_count", "no_blue_class", "blue_triangle", "odd_blue_cycle", "ok"}
+        assert digest.hexdigest() == self.CORPUS_DIGEST
+
+
+def _class_structured(rng: random.Random, r: int) -> ColoredGraph:
+    """Red pairs between classes and a random blue graph of density at most
+    0.6 inside each of s blue classes (orders 2-7), beside r - 2s green
+    classes (orders 1-3), so that m + s = r unless a blue class draws no
+    blue pair."""
+    s = rng.randint(0, r // 2)
+    sizes = [rng.randint(2, 7) for _ in range(s)] + [rng.randint(1, 3) for _ in range(r - 2 * s)]
+    owner = [c for c, size in enumerate(sizes) for _ in range(size)]
+    density = [rng.uniform(0.2, 0.6) if c < s else 0.0 for c in range(len(sizes))]
+    weights = {}
+    for x, y in pair_list(len(owner)):
+        if owner[x] != owner[y]:
+            weights[(x, y)] = 2
+        elif rng.random() < density[owner[x]]:
+            weights[(x, y)] = 1
+    return ColoredGraph.from_pair_weights(len(owner), weights)
 
 
 class TestJExclusionConformance:

@@ -482,6 +482,25 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert "line 1" in err and "maximum order 64" in err
 
+    @pytest.mark.parametrize(
+        "argv, family",
+        [
+            (["check", "--family", "F:66", "{graph}"], "F:66"),
+            (["analyze", "--r", "33", "{graph}"], "F:66"),
+            (["verify", "--theorem", "even", "--r", "33", "--n", "3"], "F:66"),
+            (["ex", "--family", "F:70", "--n", "4"], "F:70"),
+        ],
+        ids=["check", "analyze", "verify", "ex"],
+    )
+    def test_family_beyond_order_limit_names_it(self, tmp_path, capsys, argv, family):
+        path = tmp_path / "g.cwg"
+        write_cwg(path, gen_rk(3))
+        assert main([a.format(graph=path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "family %s " % family in lines[0]
+
     def test_missing_file(self, capsys):
         assert main(["check", "--family", "F:4", "/nonexistent.cwg"]) == 1
 

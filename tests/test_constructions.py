@@ -99,6 +99,11 @@ class TestFamily:
         with pytest.raises(ValueError):
             gen_family(1)
 
+    def test_member_beyond_order_limit_names_the_family(self):
+        assert gen_family(65)[0].n == 64
+        with pytest.raises(ValueError, match="family F:66 has a member of order 65"):
+            gen_family(66)
+
 
 class TestHk:
     def test_k_zero_is_blue_clique(self):

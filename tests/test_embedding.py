@@ -199,20 +199,34 @@ class TestMaxBlueClique:
         assert q == 5
         assert all(g.weight(x, y) >= 1 for x, y in itertools.combinations(wit, 2))
 
+    # Recorded from the branch and bound that preceded the search on
+    # find_clique.
+    @pytest.mark.parametrize(
+        "host, expected",
+        [
+            (lambda: gen_even_extremal(5, 2), (5, (0, 14, 28, 40, 52))),
+            (lambda: gen_even_extremal(4, 2), (4, (0, 14, 26, 38))),
+            (lambda: gen_odd_extremal(4, 3), (4, (0, 3, 15, 24))),
+            (lambda: gen_ehss_blowup(6), (6, (0, 2, 4, 7, 10, 13))),
+        ],
+        ids=["even-extremal-5-2", "even-extremal-4-2", "odd-extremal-4-3", "ehss-blowup-6"],
+    )
+    def test_pinned_witnesses(self, host, expected):
+        assert max_blue_clique(host().graph) == expected
+
     def test_matches_brute_force(self, rng):
-        for _ in range(100):
-            g = random_graph(rng, 6)
-            q, wit = max_blue_clique(g)
-            best = max(
-                (
-                    len(sub)
-                    for size in range(g.n + 1)
-                    for sub in itertools.combinations(range(g.n), size)
-                    if all(g.weight(x, y) >= 1 for x, y in itertools.combinations(sub, 2))
-                ),
-                default=0,
+        # combinations() lists the subsets of each size in lexicographic
+        # order, so the first pairwise-nonzero subset of the largest size
+        # is the lexicographically least maximum clique: the witness.
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 8))
+            expected = next(
+                sub
+                for size in range(g.n, -1, -1)
+                for sub in itertools.combinations(range(g.n), size)
+                if all(g.weight(x, y) >= 1 for x, y in itertools.combinations(sub, 2))
             )
-            assert q == best
+            assert max_blue_clique(g) == (len(expected), expected)
 
 
 class TestCommonRedNeighborhood:

@@ -81,6 +81,15 @@ class TestFamilyChecker:
             g = random_graph(rng, 5)
             assert checker.is_free_graph(g) == _reference_is_free(g, fam)
 
+    @pytest.mark.parametrize("raised", [(3, 3), (0, 0), (3, 9), (4, 0), (-1, 2)])
+    def test_raised_pair_must_be_two_vertices_of_the_host(self, raised):
+        # A self-pair would read as green and skip every two-level member,
+        # although the whole-host test finds member 1 in the red K4.
+        checker = FamilyChecker(gen_family(5))
+        assert checker.witness(gen_rk(4))[0] == 1
+        with pytest.raises(ValueError, match="two distinct vertices"):
+            checker.witness(gen_rk(4), raised)
+
 
 @pytest.fixture(scope="module")
 def iso_classes():

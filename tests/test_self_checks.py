@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import cwg
-from cwg import SelfCheckError, core, embedding, homomorphism, search
-from cwg.constructions import gen_family, gen_j, gen_rk, gen_rk_minus
+from cwg import SelfCheckError, analysis, core, embedding, homomorphism, search
+from cwg.constructions import gen_ehss_blowup, gen_family, gen_j, gen_rk, gen_rk_minus
 
 
 def _reject_embeddings(monkeypatch):
@@ -39,6 +39,21 @@ def test_rejected_result_raises(monkeypatch, reject, search):
     reject(monkeypatch)
     with pytest.raises(SelfCheckError):
         search()
+
+
+@pytest.mark.parametrize(
+    "rejected, message",
+    [("general", "invalid matching certificate"), ("rk_minus", "invalid certificate")],
+    ids=["matching", "rk_minus"],
+)
+def test_decompose_certificates_are_rechecked(monkeypatch, rejected, message):
+    # analysis binds verify_certificate by name, so the patch goes there.
+    original = analysis.verify_certificate
+    monkeypatch.setattr(
+        analysis, "verify_certificate", lambda g, cert: cert.kind != rejected and original(g, cert)
+    )
+    with pytest.raises(SelfCheckError, match=message):
+        analysis.decompose(gen_ehss_blowup(3).graph, 3)
 
 
 def test_threshold_witness_is_rechecked(monkeypatch):
@@ -97,14 +112,17 @@ def test_wrong_canonical_relabelling_raises(monkeypatch, run):
 def test_checks_survive_optimize_flag():
     script = textwrap.dedent(
         """
-        from cwg import SelfCheckError, embedding, homomorphism, search, gen_family, gen_rk
+        from cwg import SelfCheckError, analysis, embedding, homomorphism, search, gen_family, gen_rk
+        from cwg.constructions import gen_ehss_blowup
         embedding.verify_embedding = lambda pattern, host, emb: False
         homomorphism.verify_certificate = lambda g, cert: False
+        analysis.verify_certificate = lambda g, cert: False
         raised = 0
         for run in (
             lambda: embedding.is_free(gen_rk(3), gen_family(6)),
             lambda: homomorphism.search_hom_rk(gen_rk(3), 3),
             lambda: search.compute_ex(5, gen_family(5)),
+            lambda: analysis.decompose(gen_ehss_blowup(3).graph, 3),
         ):
             try:
                 run()
@@ -119,7 +137,7 @@ def test_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "3"
+    assert out.stdout.strip() == "4"
 
 
 def test_no_assert_statements_in_package():
