@@ -216,6 +216,11 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
     threshold) are re-checked and reported in any failure, never assumed:
     the primary use of a diagnosis is falsification testing.
     """
+    return _decompose(g, r, find_wicked(g), _class_split(g))
+
+
+def _decompose(g: ColoredGraph, r: int, wicked, split) -> Union[HomCertificate, FailureDiagnosis]:
+    """``decompose`` on the audits ``find_wicked(g)`` and ``_class_split(g)``."""
     if r < 3:
         raise ValueError("need r >= 3")
     free_ok, _ = is_free(g, gen_family(2 * r))
@@ -225,11 +230,10 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
     def fail(step: str, message: str, witness=None) -> FailureDiagnosis:
         return FailureDiagnosis(step, message, witness, free_ok, degree_ok)
 
-    wicked = find_wicked(g)
     if wicked:
         return fail("wicked_triangle", "the weight-<=1 relation is not transitive", wicked[0])
 
-    classes, has_blue, blue = _class_split(g)
+    classes, has_blue, blue = split
     m = len(classes)
     s = sum(has_blue)
     if m + s != r:
@@ -278,11 +282,21 @@ def decompose(g: ColoredGraph, r: int) -> Union[HomCertificate, FailureDiagnosis
 
 def build_structure_report(g: ColoredGraph, r: int) -> StructureReport:
     """Collect the audits behind the analyze command into one report."""
-    wicked = find_wicked(g)
+    return _structure_report(g, r, find_wicked(g), _class_split(g))
+
+
+def analyze(g: ColoredGraph, r: int) -> tuple[StructureReport, Union[HomCertificate, FailureDiagnosis]]:
+    """``build_structure_report(g, r)`` and ``decompose(g, r)``, computing
+    the wicked triangles and the class split once for both."""
+    wicked, split = find_wicked(g), _class_split(g)
+    return _structure_report(g, r, wicked, split), _decompose(g, r, wicked, split)
+
+
+def _structure_report(g: ColoredGraph, r: int, wicked, split) -> StructureReport:
     blue_wicked = _blue_wicked(g, wicked)
     insecure_blue, insecure_green = secure_audit(g, r)
     j_emb = find_embedding(gen_j(r).graph, g) if r >= 3 else None
-    classes, has_blue, _ = _class_split(g)
+    classes, has_blue, _ = split
     return StructureReport(
         wicked_triangles=wicked,
         blue_wicked=blue_wicked,

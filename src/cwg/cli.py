@@ -53,8 +53,7 @@ from .homomorphism import (
 )
 from .analysis import (
     FailureDiagnosis,
-    build_structure_report,
-    decompose,
+    analyze,
     extremal_completion,
 )
 from .search import (
@@ -220,8 +219,7 @@ def _cmd_hom(args):
 
 def _cmd_analyze(args):
     g = read_cwg(args.graph)
-    report = build_structure_report(g, args.r)
-    outcome = decompose(g, args.r)
+    report, outcome = analyze(g, args.r)
     if isinstance(outcome, FailureDiagnosis):
         decomposition = {"ok": False, **vars(outcome)}
     else:

@@ -209,10 +209,7 @@ class ColoredGraph:
 
     def permuted(self, perm) -> "ColoredGraph":
         """Relabelled copy: new vertex i is old vertex perm[i]."""
-        m = self.matrix()
-        return ColoredGraph.from_digits(
-            self.n, [m[perm[x]][perm[y]] for x, y in pair_list(self.n)]
-        )
+        return _permuted(self, perm)
 
     # -- dunder ------------------------------------------------------------
 
@@ -228,6 +225,44 @@ class ColoredGraph:
 
     def __repr__(self) -> str:
         return "ColoredGraph(n=%d, weights=%r)" % (self.n, self.upper_string())
+
+
+class MaskHost:
+    """A host given by per-vertex nonzero and red mask lists, which its
+    owner updates in place with ``set`` as it raises and lowers pairs.
+    Canonical augmentation builds each child as one, and the containment
+    searches read it like a ``ColoredGraph``."""
+
+    __slots__ = ("n", "_ge1", "_red")
+
+    def __init__(self, ge1, red):
+        self.n = len(ge1)
+        self._ge1 = list(ge1)
+        self._red = list(red)
+
+    def weight(self, x: int, y: int) -> int:
+        return 2 if self._red[x] >> y & 1 else self._ge1[x] >> y & 1
+
+    def set(self, x: int, y: int, w: int) -> None:
+        """Give the pair xy weight w, on both rows of each mask list."""
+        bx, by = 1 << x, 1 << y
+        ge1, red = self._ge1, self._red
+        if w:
+            ge1[x] |= by
+            ge1[y] |= bx
+        else:
+            ge1[x] &= ~by
+            ge1[y] &= ~bx
+        if w == 2:
+            red[x] |= by
+            red[y] |= bx
+        else:
+            red[x] &= ~by
+            red[y] &= ~bx
+
+    def digits(self) -> tuple[int, ...]:
+        """Upper-triangle weights in row-major order, as ``ColoredGraph.digits``."""
+        return tuple(self.weight(x, y) for x, y in pair_list(self.n))
 
 
 # -- degrees and thresholds -------------------------------------------------
@@ -386,12 +421,52 @@ def canonical_form(g: ColoredGraph) -> CanonicalForm:
     return CanonicalForm(g.n, "".join(str(d) for d in best))
 
 
-def _relabelled(g: ColoredGraph, best: tuple[int, ...], perm) -> ColoredGraph:
-    """g.permuted(perm), re-checked to carry the digits best."""
-    c = g.permuted(perm)
+def _permuted(g: ColoredGraph | MaskHost, perm) -> ColoredGraph:
+    """The graph whose vertex i is vertex perm[i] of g, read off g's masks."""
+    ge1, red = g._ge1, g._red
+    bits = 0
+    shift = 0
+    for x in range(g.n):
+        u = perm[x]
+        a, r = ge1[u], red[u]
+        for y in range(x + 1, g.n):
+            v = perm[y]
+            bits |= ((a >> v & 1) + (r >> v & 1)) << shift
+            shift += 2
+    return ColoredGraph(g.n, bits)
+
+
+def _relabelled(g: ColoredGraph | MaskHost, best: tuple[int, ...], perm) -> ColoredGraph:
+    """g relabelled by perm, re-checked to carry the digits best."""
+    c = _permuted(g, perm)
     if c.digits() != best:
         raise SelfCheckError("canonical relabelling does not give the canonical digits")
     return c
+
+
+def _automorphisms(c: ColoredGraph, argmins) -> list[tuple[int, ...]]:
+    """Aut(c) for the canonical copy c of a graph g relabelled by
+    argmins[0], from the argmins of g: sigma_j = argmins[0]^-1 o argmins[j]
+    maps c onto g relabelled by argmins[j], which is c again.  Each sigma
+    is re-checked on c's masks: the image of the pairs at x must be the
+    pairs at sigma[x]."""
+    inverse = [0] * c.n
+    for i, v in enumerate(argmins[0]):
+        inverse[v] = i
+    auts = []
+    for perm in argmins:
+        sigma = tuple(inverse[v] for v in perm)
+        for masks in (c._ge1, c._red):
+            for x, mask in enumerate(masks):
+                image = 0
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    image |= 1 << sigma[low.bit_length() - 1]
+                if image != masks[sigma[x]]:
+                    raise SelfCheckError("derived automorphism does not preserve the canonical copy")
+        auts.append(sigma)
+    return auts
 
 
 def canonicalized(g: ColoredGraph) -> ColoredGraph:
@@ -425,54 +500,90 @@ def _enumerate_isomorph_free(n: int) -> tuple[list[ColoredGraph], int]:
     compared as a tuple.  A child, a canonical parent with vertex k-1
     appended, is accepted iff k-1 is in the orbit of the vertex deleted
     canonically: among the vertices of greatest invariant, the one at the
-    latest position of the child's canonical labelling.  A child in which
-    an old vertex has a greater invariant than k-1 is rejected before any
-    canonical form is computed.  The rule is isomorphism-invariant, so every
-    class has one canonical-parent orbit; a per-parent set of canonical
-    codes removes the duplicates that automorphic extensions of one parent
-    give.  Each isomorphism class is then produced exactly once.
+    latest position of the child's canonical labelling.  The rule is
+    isomorphism-invariant, so every class has one canonical-parent orbit.
+
+    Orbit pruning: rows e and e o sigma, for sigma in Aut(parent), give
+    isomorphic children, and two accepted children of one parent are
+    isomorphic only through such a sigma.  So each parent extends only the
+    rows that are least, in row order, in their orbit under its
+    automorphisms, which come from the argmins of the child it was
+    accepted as (``_automorphisms``).  Rows in which an old vertex has a
+    greater invariant than k-1 are dropped first.  Both filters are set
+    operations on bitsets of rows, a few per parent vertex and per
+    automorphism, not a pass over the rows.
+
+    Each surviving child is a ``MaskHost`` of the parent's masks plus the
+    new row; only an accepted child becomes a ``ColoredGraph``, its
+    canonical copy.  Each isomorphism class is produced exactly once, and
+    a second accepted child of one parent with the same canonical digits
+    raises ``SelfCheckError``.
 
     Returns (one graph per class, number of children canonicalised).
     """
-    level: list[ColoredGraph] = [ColoredGraph(min(n, 1), 0)]
+    first = ColoredGraph(min(n, 1), 0)
+    level = [(first, [tuple(range(first.n))])]
     forms = 0
     for k in range(2, n + 1):
-        # An invariant (a, r) is packed as a*k + r, which orders like the
-        # tuple because r <= a < k; a digit w adds grow[w] to it.
+        m = k - 1  # the parent's order, and the new vertex
+        # Row i, in product order, gives the new vertex the weights rows[i].
+        # A set of rows is an int with bit i for row i.  at[x][w] holds the
+        # rows that give x weight w.  An invariant (a, r) is packed as
+        # a*k + r, which orders like the tuple because r <= a < k; weight w
+        # adds grow[w] to it, and below[t] holds the rows that give the new
+        # vertex an invariant under t.
+        rows = list(itertools.product((0, 1, 2), repeat=m))
         grow = (0, k, k + 1)
-        # The new vertex is k-1; its pair with x sits at the end of row x.
-        pos = pair_pos(k)
-        exts = []
-        for ext in itertools.product((0, 1, 2), repeat=k - 1):
-            steps = tuple(grow[w] for w in ext)
-            bits = sum(w << 2 * pos[(x, k - 1)] for x, w in enumerate(ext))
-            exts.append((bits, steps, sum(steps)))
-        nxt: list[ColoredGraph] = []
-        for parent in level:
-            seen: set[tuple[int, ...]] = set()
-            base = 0
-            for p, pair in enumerate(pair_list(k - 1)):
-                base |= (parent.bits >> 2 * p & 3) << 2 * pos[pair]
-            keys = [a.bit_count() * k + r.bit_count() for a, r in zip(parent._ge1, parent._red)]
-            for bits, steps, new in exts:
-                inv = [key + s for key, s in zip(keys, steps)]
-                if max(inv) > new:
-                    continue
-                inv.append(new)
-                child = ColoredGraph(k, base | bits)
+        at = [[0, 0, 0] for _ in range(m)]
+        below = [0] * (m * grow[2] + 2)
+        for i, row in enumerate(rows):
+            for x, w in enumerate(row):
+                at[x][w] |= 1 << i
+            below[sum(grow[w] for w in row) + 1] |= 1 << i
+        below = list(itertools.accumulate(below, int.__or__))
+        nxt = []
+        for parent, auts in level:
+            ge1, red = parent._ge1, parent._red
+            # Drop the rows in which an old vertex outgrows the new one.
+            viable = (1 << len(rows)) - 1
+            for x, (a, r) in enumerate(zip(ge1, red)):
+                key = a.bit_count() * k + r.bit_count()
+                for w in range(3):
+                    viable &= ~(at[x][w] & below[key + grow[w]])
+            # Drop the rows that some automorphism maps to a smaller row:
+            # the image of row e under sigma is e o sigma, and it is smaller
+            # iff at the first x where e[sigma[x]] != e[x], e[sigma[x]] < e[x].
+            for sigma in auts[1:]:
+                same = viable
+                for x, y in enumerate(sigma):
+                    if x != y:
+                        a, b = at[y], at[x]
+                        viable &= ~(same & (a[0] & (b[1] | b[2]) | a[1] & b[2]))
+                        same &= a[0] & b[0] | a[1] & b[1] | a[2] & b[2]
+            accepted: set[tuple[int, ...]] = set()
+            while viable:
+                low = viable & -viable
+                viable ^= low
+                i = low.bit_length() - 1
+                child = MaskHost(ge1 + (0,), red + (0,))
+                for x, w in enumerate(rows[i]):
+                    if w:
+                        child.set(x, m, w)
                 forms += 1
                 best, argmins = _min_relabelling(child)
-                if best in seen:
-                    continue
                 canon = argmins[0]
-                # new is the greatest invariant, since k-1 passed the test above.
-                last = next(p for p in range(k - 1, -1, -1) if inv[canon[p]] == new)
-                if k - 1 not in {perm[last] for perm in argmins}:
+                inv = [a.bit_count() * k + r.bit_count() for a, r in zip(child._ge1, child._red)]
+                # The new vertex m has the greatest invariant, since its row is viable.
+                last = next(p for p in range(m, -1, -1) if inv[canon[p]] == inv[m])
+                if m not in {perm[last] for perm in argmins}:
                     continue
-                seen.add(best)
-                nxt.append(_relabelled(child, best, canon))
+                if best in accepted:
+                    raise SelfCheckError("two accepted children of one parent are isomorphic")
+                accepted.add(best)
+                c = _relabelled(child, best, canon)
+                nxt.append((c, _automorphisms(c, argmins) if k < n else None))
         level = nxt
-    return level, forms
+    return [g for g, _ in level], forms
 
 
 def enumerate_graphs(

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ColoredGraph, SelfCheckError, pair_list, pair_pos
+from .core import ColoredGraph, MaskHost, SelfCheckError, pair_list, pair_pos
 
 
 @dataclass(frozen=True)
@@ -386,42 +386,6 @@ class FamilyChecker:
 
     def is_free_graph(self, g: ColoredGraph) -> bool:
         return self.witness(g) is None
-
-
-class MaskHost:
-    """A host given by per-vertex nonzero and red mask lists, which its
-    owner updates in place with ``set`` as it raises and lowers pairs."""
-
-    __slots__ = ("n", "_ge1", "_red")
-
-    def __init__(self, ge1, red):
-        self.n = len(ge1)
-        self._ge1 = list(ge1)
-        self._red = list(red)
-
-    def weight(self, x: int, y: int) -> int:
-        return 2 if self._red[x] >> y & 1 else self._ge1[x] >> y & 1
-
-    def set(self, x: int, y: int, w: int) -> None:
-        """Give the pair xy weight w, on both rows of each mask list."""
-        bx, by = 1 << x, 1 << y
-        ge1, red = self._ge1, self._red
-        if w:
-            ge1[x] |= by
-            ge1[y] |= bx
-        else:
-            ge1[x] &= ~by
-            ge1[y] &= ~bx
-        if w == 2:
-            red[x] |= by
-            red[y] |= bx
-        else:
-            red[x] &= ~by
-            red[y] &= ~bx
-
-    def digits(self) -> tuple[int, ...]:
-        """Upper-triangle weights in row-major order, as ``ColoredGraph.digits``."""
-        return tuple(self.weight(x, y) for x, y in pair_list(self.n))
 
 
 def _two_level_cliques(

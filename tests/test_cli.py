@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import cwg
-from cwg import cli
+from cwg import analysis, cli
 from cwg.cli import build_parser, main
 from cwg.core import ColoredGraph, parse_cwg, read_cwg, to_cwg, write_cwg
 from cwg.constructions import (
@@ -308,6 +308,20 @@ class TestAnalyze:
         write_cwg(path, host().graph)
         assert main(["analyze", "--r", str(r), str(path), "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_audits_run_once(self, tmp_path, capsys, monkeypatch):
+        # The report and the decomposition share one wicked list and one
+        # class split.
+        calls = []
+        for name in ("find_wicked", "_class_split"):
+            original = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name, lambda g, *rest, name=name, original=original: calls.append(name) or original(g, *rest)
+            )
+        path = tmp_path / "g.cwg"
+        write_cwg(path, gen_ehss_blowup(4).graph)
+        assert main(["analyze", "--r", "4", str(path), "--json"]) == 0
+        assert sorted(calls) == ["_class_split", "find_wicked"]
 
 
 class TestComplete:

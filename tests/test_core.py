@@ -257,10 +257,19 @@ class TestEnumeration:
         )
         assert sum(copies) == 3 ** num_pairs(n)
 
-    @pytest.mark.parametrize("n, classes, forms", [(5, 792, 1632), (6, 25506, 42529)])
+    # sha256 of the visit order as in test_visit_order_is_pinned; the n = 6
+    # value was recorded before orbit pruning, and this test is the one
+    # n = 6 enumeration of the suite.
+    VISIT_DIGESTS = {
+        5: "846e0084538b3482146dcf483ea5d430fab4ffdbd4514339e245d68ece4f9d59",
+        6: "61499a2bf11b3ff0313efdf6f2279aff9d2cb6d393720ebb00ff64fc95a5b134",
+    }
+
+    @pytest.mark.parametrize("n, classes, forms", [(5, 792, 952), (6, 25506, 30365)])
     def test_canonical_forms_counted(self, monkeypatch, n, classes, forms):
-        # The invariant-first deletion rejects most children before their
-        # canonical form; canonical_forms counts those that reach it.
+        # The invariant-first deletion and orbit pruning drop most rows
+        # before their canonical form; canonical_forms counts the children
+        # that reach it, each exactly once.
         calls = []
         original = core._min_relabelling
 
@@ -269,9 +278,61 @@ class TestEnumeration:
             return original(g)
 
         monkeypatch.setattr(core, "_min_relabelling", counted)
-        stats = enumerate_graphs(n, "isomorph_free")
+        seen = []
+        stats = enumerate_graphs(n, "isomorph_free", seen.append)
         assert (stats.count, stats.canonical_forms) == (classes, forms)
         assert len(calls) == forms
+        assert hashlib.sha256("".join(to_cwg(g) for g in seen).encode()).hexdigest() == self.VISIT_DIGESTS[n]
+
+    def test_one_graph_built_per_class_per_level(self, monkeypatch):
+        # Children are mask hosts; only the canonical copy of an accepted
+        # child becomes a ColoredGraph (1 + 3 + 10 + 66 + 792 for n = 1..5).
+        built = []
+        original = ColoredGraph.__init__
+
+        def counted(self, n, bits):
+            built.append(n)
+            original(self, n, bits)
+
+        monkeypatch.setattr(ColoredGraph, "__init__", counted)
+        enumerate_graphs(5, "isomorph_free")
+        assert [built.count(k) for k in range(1, 6)] == [1, 3, 10, 66, 792]
+        assert len(built) == 872
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_derived_automorphisms_are_the_argmins(self, rng, n):
+        # For a relabelled copy g of a class c, argmins[0]^-1 o argmins[j]
+        # over g's argmins is Aut(c), which is c's own argmins list.
+        reps = []
+        enumerate_graphs(n, "isomorph_free", reps.append)
+        for c in reps:
+            g = c.permuted(rng.sample(range(n), n))
+            best, argmins = _min_relabelling(g)
+            assert core._relabelled(g, best, argmins[0]) == c
+            assert sorted(core._automorphisms(c, argmins)) == _min_relabelling(c)[1]
+
+    def test_corrupted_automorphism_raises(self, monkeypatch):
+        # A reversed canonical labelling is no argmin of an asymmetric
+        # graph; the automorphism it gives fails the re-check on the masks.
+        original = core._min_relabelling
+
+        def corrupted(g):
+            digits, argmins = original(g)
+            bad = argmins[0][::-1]
+            return digits, argmins + ([bad] if bad not in argmins else [])
+
+        monkeypatch.setattr(core, "_min_relabelling", corrupted)
+        with pytest.raises(core.SelfCheckError, match="automorphism"):
+            enumerate_graphs(4, "isomorph_free")
+        with pytest.raises(core.SelfCheckError, match="automorphism"):
+            core._automorphisms(ColoredGraph.from_digits(3, (0, 1, 2)), [(0, 1, 2), (2, 1, 0)])
+
+    def test_unpruned_rows_raise_duplicate(self, monkeypatch):
+        # Without the parents' automorphisms every automorphic row is
+        # extended, and the second accepted copy of a class is caught.
+        monkeypatch.setattr(core, "_automorphisms", lambda c, argmins: [tuple(range(c.n))])
+        with pytest.raises(core.SelfCheckError, match="isomorphic"):
+            enumerate_graphs(4, "isomorph_free")
 
     @pytest.mark.parametrize("n", range(6))
     def test_isomorph_free_representatives_are_canonical(self, n):
