@@ -6,8 +6,10 @@ low digits, read from a cached table of all their settings, and high
 digits, fixed on each aligned block of codes.  A block is skipped whole
 when the fixed digits already rule out the minimum-degree cutoff or
 contain a family member; otherwise the degree filter and the
-family-freeness conditions (boolean pair conditions from
-``FamilyChecker.conditions``) run vectorized over the block's low digits.
+family-freeness conditions (pair conditions from
+``FamilyChecker.conditions``, compiled to bitmasks) run vectorized over
+the block's low digits, whose nonzero and red flags the table packs into
+one word each per code.
 Raw verify, iso verify and each degree of the threshold probe (rescanned
 from the top degree down) share one walk in one process,
 ``_first_without_hom``.  A counterexample or threshold witness is
@@ -43,7 +45,9 @@ from .embedding import FamilyChecker, MaskHost, find_embedding
 from .homomorphism import find_hom_rk, find_hom_rk_minus
 
 EX_BOUND = 8
-# Codes per scan chunk: small enough that a chunk's arrays take a few MiB.
+# Codes per scan chunk, and the scan's low-digit table size: at n = 6 the
+# table of 3^11 codes (a uint8 degree row per vertex, a uint16 of nonzero
+# flags and one of red flags) takes 1.8 MB, and a block's arrays less.
 _CHUNK = 3 ** 11
 # One record per scanned graph that survives the filters.
 _RECORD = np.dtype([("code", np.int64), ("mindeg", np.uint8)])
@@ -89,24 +93,28 @@ class SearchReport:
 
 
 def _low_table(n: int, low: int):
-    """Tables over the 3^low settings of the low digits (pairs 0..low-1):
-    per-vertex degree rows, nonzero rows, red rows, and each vertex's
-    largest low degree.  Built on first use and cached per (n, low)."""
+    """Read-only tables over the 3^low settings of the low digits (pairs
+    0..low-1): a ``uint8`` degree row per vertex, the packed nonzero flags
+    and the packed red flags (bit p for pair p; ``uint16``, or ``uint32``
+    when low > 16), and each vertex's largest low degree.  Built on first
+    use and cached per (n, low)."""
     key = (n, low)
     if key not in _LOW_TABLES:
-        rem = np.arange(3 ** low, dtype=np.int64)
-        digits = np.empty((low, rem.size), dtype=np.uint8)
-        for p in range(low):
-            digits[p] = rem % 3
-            rem //= 3
-        degs = np.zeros((n, rem.size), dtype=np.uint8)
+        size = 3 ** low
+        flags = np.uint16 if low <= 16 else np.uint32
+        degs = np.zeros((n, size), dtype=np.uint8)
+        ge1 = np.zeros(size, dtype=flags)
+        red = np.zeros(size, dtype=flags)
         for p, (x, y) in enumerate(pair_list(n)[:low]):
-            degs[x] += digits[p]
-            degs[y] += digits[p]
-        tables = (degs, digits >= 1, digits == 2)
-        for table in tables:
+            # Digit p of every code below 3^low, in code order.
+            digit = np.tile(np.repeat(np.arange(3, dtype=np.uint8), 3 ** p), 3 ** (low - 1 - p))
+            degs[x] += digit
+            degs[y] += digit
+            np.bitwise_or(ge1, 1 << p, out=ge1, where=digit >= 1)
+            np.bitwise_or(red, 1 << p, out=red, where=digit == 2)
+        for table in (degs, ge1, red):
             table.setflags(write=False)
-        _LOW_TABLES[key] = tables + (degs.max(axis=1).tolist(),)
+        _LOW_TABLES[key] = (degs, ge1, red, degs.max(axis=1).tolist())
     return _LOW_TABLES[key]
 
 
@@ -128,8 +136,10 @@ def _scan_raw(
     codes.  The low digits come from a cached table; the high ones are
     decoded once per block, which is skipped whole when a vertex cannot
     reach the cutoff or a condition holds on the fixed digits alone.
-    Otherwise only the conditions the fixed digits allow are tested, on the
-    low digits of the degree survivors."""
+    Otherwise the minimum degree is a running minimum over the vertices,
+    and only the conditions the fixed digits allow are tested: each as a
+    pair of bitmasks over the low pairs, against the packed red and nonzero
+    flags of the degree survivors."""
     m = num_pairs(n)
     low = 0
     while low < m and 3 ** (low + 1) <= chunk:
@@ -138,18 +148,16 @@ def _scan_raw(
     low_degs, low_ge1, low_red, low_max = _low_table(n, low)
     high_pairs = pair_list(n)[low:]
 
-    # Per condition: bitmasks over the high digits that must be red and
-    # nonzero, and the pair positions it needs among the low digits.
-    def high_mask(positions):
-        return sum(1 << (p - low) for p in positions if p >= low)
-
-    cond_red = np.array([high_mask(red) for red, _ in conditions], dtype=np.int64)
-    cond_ge1 = np.array([high_mask(ge1) for _, ge1 in conditions], dtype=np.int64)
-    cond_low = [
-        (tuple(p for p in red if p < low), tuple(p for p in ge1 if p < low))
-        for red, ge1 in conditions
-    ]
-    high_only = np.array([not (r or g) for r, g in cond_low], dtype=bool)
+    # Per condition: bitmasks of the pairs that must be red and nonzero,
+    # split into the high digits (bit p - low) and the low ones (bit p).
+    full = [(sum(1 << p for p in red), sum(1 << p for p in ge1)) for red, ge1 in conditions]
+    low_bits = (1 << low) - 1
+    cond_red = np.array([rm >> low for rm, _ in full], dtype=np.int64)
+    cond_ge1 = np.array([gm >> low for _, gm in full], dtype=np.int64)
+    cond_low = [(rm & low_bits, gm & low_bits) for rm, gm in full]
+    high_only = np.array([not (rm or gm) for rm, gm in cond_low], dtype=bool)
+    mindeg_buf = np.empty(size, dtype=np.uint8)
+    deg_buf = np.empty(size, dtype=np.uint8)
 
     for start in range(lo, hi, chunk):
         stop = min(start + chunk, hi)
@@ -176,23 +184,17 @@ def _scan_raw(
             if high_only[live].any():
                 continue
             tests = {cond_low[i] for i in live.tolist()}
-            degs = low_degs[:, a:b] + np.array(fixed, dtype=np.uint8)[:, None]
-            mindeg = degs.min(axis=0)
+            mindeg, deg = mindeg_buf[: b - a], deg_buf[: b - a]
+            np.add(low_degs[0, a:b], fixed[0], out=mindeg)
+            for v in range(1, n):
+                np.minimum(mindeg, np.add(low_degs[v, a:b], fixed[v], out=deg), out=mindeg)
             idx = np.flatnonzero(mindeg >= cutoff)
             if idx.size and tests:
-                # take() keeps the rows contiguous; fancy indexing on the
-                # second axis would return a column-major copy, several times
-                # slower to test row by row.
-                ge1 = low_ge1.take(idx + a, axis=1)
-                red = low_red.take(idx + a, axis=1)
+                ge1 = low_ge1[a:b].take(idx)
+                red = low_red[a:b].take(idx)
                 bad = np.zeros(idx.size, dtype=bool)
-                for red_positions, ge1_positions in tests:
-                    cond = None
-                    for p in red_positions:
-                        cond = red[p] if cond is None else (cond & red[p])
-                    for p in ge1_positions:
-                        cond = ge1[p] if cond is None else (cond & ge1[p])
-                    bad |= cond
+                for rm, gm in tests:
+                    bad |= ((red & rm) == rm) & ((ge1 & gm) == gm)
                 idx = idx[~bad]
             if idx.size:
                 records = np.empty(idx.size, dtype=_RECORD)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from cwg.core import (
     enumerate_graphs,
     min_degree,
     num_pairs,
+    pair_list,
 )
 from cwg.constructions import (
     blow_up,
@@ -22,12 +24,14 @@ from cwg.constructions import (
     gen_rk,
 )
 from cwg.embedding import _two_level_shape, is_free
+from cwg import search
 from cwg.homomorphism import find_hom_rk
 from cwg.search import (
     FamilyChecker,
     SearchReport,
     _minimize_counterexample,
     _raw_graphs,
+    _low_table,
     _recheck_witness,
     _reference_is_free,
     _scan_raw,
@@ -311,6 +315,60 @@ class TestScanRaw:
                     ]
                     got = list(_raw_graphs(n, cutoff, conditions, exact=exact))
                 assert got == expected
+
+    @pytest.mark.parametrize("chunk", [1, 3, 3 ** 4 - 1])
+    def test_small_chunks_match_brute_force_n4(self, chunk):
+        # Chunk 1 scans with no low digit, so every digit is fixed per code;
+        # chunk 3 has one low digit; chunk 80 makes blocks of 27 codes that
+        # chunks of 80 cut part way through.
+        n = 4
+        for fam in (None, gen_family(5), gen_family(6), gen_family(7)):
+            conditions = [] if fam is None else FamilyChecker(fam).conditions(n)
+            rows = [
+                (code, min_degree(g))
+                for code, g in enumerate(all_graphs(n))
+                if fam is None or brute_force_is_free(g, fam)
+            ]
+            for cutoff in range(7):
+                expected = [(code, d) for code, d in rows if d >= cutoff]
+                got = self.records(n, cutoff, conditions, 0, 3 ** num_pairs(n), chunk=chunk)
+                assert got == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_low_tables_match_decoded_graphs(self, n):
+        for low in range(num_pairs(n) + 1):
+            degs, ge1, red, low_max = _low_table(n, low)
+            assert degs.shape == (n, 3 ** low) and ge1.shape == red.shape == (3 ** low,)
+            assert ge1.dtype == red.dtype == "uint16"
+            assert not (degs.flags.writeable or ge1.flags.writeable or red.flags.writeable)
+            assert low_max == degs.max(axis=1).tolist()
+            pairs = pair_list(n)
+            for code, (deg_row, ge1_bits, red_bits) in enumerate(
+                zip(degs.T.tolist(), ge1.tolist(), red.tolist())
+            ):
+                g = graph_from_code(n, code)
+                weights = [g.weight(x, y) for x, y in pairs]
+                assert tuple(deg_row) == g.degrees()
+                assert ge1_bits == sum(1 << p for p, w in enumerate(weights) if w >= 1)
+                assert red_bits == sum(1 << p for p, w in enumerate(weights) if w == 2)
+
+    def test_scan_memory_stays_small(self, monkeypatch):
+        # Building the n = 6 low tables (1.8 MB) and scanning all 3^15 codes
+        # for the odd theorem at r = 2 peaks near 3 MB; a byte per pair and
+        # flag in the tables would take it past 8 MB.
+        monkeypatch.setattr(search, "_LOW_TABLES", {})
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert verify_theorem_odd(2, 6).outcome == "verified"
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_unaligned_small_chunks(self):
         conditions = FamilyChecker(gen_family(5)).conditions(4)
