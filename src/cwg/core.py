@@ -492,7 +492,7 @@ class EnumerationStats:
     canonical_forms: int = 0
 
 
-def _enumerate_isomorph_free(n: int) -> tuple[list[ColoredGraph], int]:
+def _enumerate_isomorph_free(n: int, stats: EnumerationStats) -> Iterator[ColoredGraph]:
     """Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26 (1998)): extend representatives one vertex at a time.
 
@@ -519,11 +519,15 @@ def _enumerate_isomorph_free(n: int) -> tuple[list[ColoredGraph], int]:
     a second accepted child of one parent with the same canonical digits
     raises ``SelfCheckError``.
 
-    Returns (one graph per class, number of children canonicalised).
+    Yields one graph per class of order n as soon as it is accepted, so
+    only level n-1 and its automorphisms are held, never a list of level
+    n.  Each child canonicalised adds one to ``stats.canonical_forms``.
     """
     first = ColoredGraph(min(n, 1), 0)
+    if n <= 1:
+        yield first
+        return
     level = [(first, [tuple(range(first.n))])]
-    forms = 0
     for k in range(2, n + 1):
         m = k - 1  # the parent's order, and the new vertex
         # Row i, in product order, gives the new vertex the weights rows[i].
@@ -569,7 +573,7 @@ def _enumerate_isomorph_free(n: int) -> tuple[list[ColoredGraph], int]:
                 for x, w in enumerate(rows[i]):
                     if w:
                         child.set(x, m, w)
-                forms += 1
+                stats.canonical_forms += 1
                 best, argmins = _min_relabelling(child)
                 canon = argmins[0]
                 inv = [a.bit_count() * k + r.bit_count() for a, r in zip(child._ge1, child._red)]
@@ -581,9 +585,11 @@ def _enumerate_isomorph_free(n: int) -> tuple[list[ColoredGraph], int]:
                     raise SelfCheckError("two accepted children of one parent are isomorphic")
                 accepted.add(best)
                 c = _relabelled(child, best, canon)
-                nxt.append((c, _automorphisms(c, argmins) if k < n else None))
+                if k == n:
+                    yield c
+                else:
+                    nxt.append((c, _automorphisms(c, argmins)))
         level = nxt
-    return [g for g, _ in level], forms
 
 
 def enumerate_graphs(
@@ -594,21 +600,25 @@ def enumerate_graphs(
     """Visit every colored graph of order n exactly once.
 
     raw mode visits all 3^C(n,2) labelled graphs (n <= 6); isomorph_free
-    visits one representative per isomorphism class (n <= 8).
+    visits one representative per isomorphism class (n <= 8).  Both modes
+    stream: isomorph_free hands each class of order n to the visitor when
+    canonical augmentation accepts it, and keeps only order n-1 resident.
     """
+    stats = EnumerationStats(n=n, mode=mode, count=0)
     if mode == "raw":
-        graphs, forms = all_graphs(n), 0  # all_graphs checks the bound
+        graphs = all_graphs(n)  # all_graphs checks the bound
     elif mode == "isomorph_free":
         if n > ISO_ENUM_BOUND:
             raise ValueError("isomorph-free bound %d exceeded (n=%d)" % (ISO_ENUM_BOUND, n))
-        graphs, forms = _enumerate_isomorph_free(n)
+        graphs = _enumerate_isomorph_free(n, stats)
     else:
         raise ValueError("unknown enumeration mode %r" % (mode,))
     count = 0
     for count, g in enumerate(graphs, 1):
         if visitor is not None:
             visitor(g)
-    return EnumerationStats(n=n, mode=mode, count=count, canonical_forms=forms)
+    stats.count = count
+    return stats
 
 
 def all_graphs(n: int) -> Iterator[ColoredGraph]:

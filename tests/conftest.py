@@ -1,15 +1,18 @@
-"""Shared test helpers: independent brute-force oracles, and one
-tree-equality oracle.
+"""Shared test helpers: independent brute-force oracles, one
+tree-equality oracle, a traced-memory probe and the ``slow`` marker.
 
 Everything here except ``reference_search_hom`` deliberately avoids the
 package's search code paths so that tests compare two genuinely different
 routes to the same answer.
+
+Tests marked ``slow`` are skipped unless pytest runs with ``--runslow``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from typing import Optional
 
 import pytest
@@ -195,6 +198,39 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
+def traced_peak(run):
+    """(run(), the tracemalloc peak in bytes above what was allocated when
+    run started)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC001)
+
+
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true", default=False, help="run tests marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: runs for minutes; skipped unless --runslow is given")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip_slow = pytest.mark.skip(reason="needs the --runslow option")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip_slow)

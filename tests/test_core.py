@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,7 +39,47 @@ from cwg.constructions import (
     gen_rk,
 )
 
-from conftest import random_graph
+from conftest import count_calls, random_graph, traced_peak
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n into parts of at most ``largest``, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def burnside_classes(n: int) -> int:
+    """Isomorphism classes of order-n colored graphs, by Burnside's lemma
+    over S_n acting on the 3^C(n,2) weightings, with no enumeration.  A
+    permutation with cycle lengths l_1, ..., l_k has floor(l_i / 2) cycles
+    on the pairs inside cycle i and gcd(l_i, l_j) on the pairs between
+    cycles i and j; n! / prod_l (l^m_l m_l!) permutations have that type,
+    m_l the number of cycles of length l."""
+    fixed = 0
+    for lengths in partitions(n):
+        cycles = sum(l // 2 for l in lengths)
+        cycles += sum(math.gcd(a, b) for a, b in itertools.combinations(lengths, 2))
+        perms = math.factorial(n)
+        for l, m in Counter(lengths).items():
+            perms //= l ** m * math.factorial(m)
+        fixed += perms * 3 ** cycles
+    classes, rest = divmod(fixed, math.factorial(n))
+    assert rest == 0
+    return classes
+
+
+# Order 7 through canonical augmentation, whole-process: classes, forms
+# and peak resident memory (ru_maxrss, in KiB on Linux).
+ORDER7_SCRIPT = """
+import resource
+from cwg.core import enumerate_graphs
+stats = enumerate_graphs(7, "isomorph_free")
+print(stats.count, stats.canonical_forms, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 class TestColoredGraph:
@@ -283,6 +327,46 @@ class TestEnumeration:
         assert (stats.count, stats.canonical_forms) == (classes, forms)
         assert len(calls) == forms
         assert hashlib.sha256("".join(to_cwg(g) for g in seen).encode()).hexdigest() == self.VISIT_DIGESTS[n]
+
+    def test_burnside_counts_match_enumeration(self):
+        # The n = 6 enumeration is pinned at 25,506 classes by
+        # test_canonical_forms_counted.
+        assert [burnside_classes(n) for n in range(8)] == [1, 1, 3, 10, 66, 792, 25506, 2302938]
+        for n in range(6):
+            assert enumerate_graphs(n, "isomorph_free").count == burnside_classes(n)
+
+    def test_last_level_streams(self, monkeypatch):
+        # Each class of order 5 reaches the visitor when it is accepted: the
+        # first right after its own form, which follows the 79 forms of
+        # orders 2-4, long before the last of the 952.
+        forms = count_calls(monkeypatch, core, "_min_relabelling")
+        forms_at_visit = []
+        stats = enumerate_graphs(5, "isomorph_free", lambda g: forms_at_visit.append(forms[0]))
+        assert stats.canonical_forms == forms[0] == 952
+        assert enumerate_graphs(4, "isomorph_free").canonical_forms == 79
+        assert forms_at_visit[0] == 80
+
+    def test_isomorph_free_memory_stays_small(self):
+        # Order 4 (66 classes and their automorphisms) is the one level
+        # held; a list of the 792 classes of order 5 would take 0.4 MB.
+        stats, peak = traced_peak(lambda: enumerate_graphs(5, "isomorph_free"))
+        assert stats.count == 792
+        assert peak < 200_000
+
+    @pytest.mark.slow
+    def test_order7_streams_in_bounded_memory(self):
+        # A list of the 2,302,938 classes would take about 0.9 GB; the
+        # stream keeps the 25,506 classes of order 6 and their automorphisms.
+        src = os.path.dirname(os.path.dirname(core.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", ORDER7_SCRIPT], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        count, forms, maxrss_kib = map(int, out.stdout.split())
+        assert count == burnside_classes(7) == 2_302_938
+        assert forms == 2_744_178
+        assert maxrss_kib < 64 * 1024
 
     def test_one_graph_built_per_class_per_level(self, monkeypatch):
         # Children are mask hosts; only the canonical copy of an accepted

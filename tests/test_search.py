@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import pytest
 
@@ -10,6 +9,7 @@ from cwg.core import (
     all_graphs,
     edge_weight_sum,
     enumerate_graphs,
+    even_threshold,
     min_degree,
     num_pairs,
     pair_list,
@@ -45,7 +45,7 @@ from cwg.search import (
     verify_theorem_odd,
 )
 
-from conftest import brute_force_is_free, chromatic_le, random_graph
+from conftest import brute_force_is_free, chromatic_le, random_graph, traced_peak
 
 
 class TestFamilyChecker:
@@ -207,9 +207,11 @@ class TestVerifyTheorems:
         assert raw.outcome == iso.outcome == "counterexample"
         assert raw.counterexample == iso.counterexample
         # The raw scan stops at the first counterexample (already minimal
-        # here); iso mode enumerates every class.
+        # here); iso mode enumerates every class but checks none after the
+        # second class in the hypothesis, its counterexample.
         assert raw.statistics["enumerated"] == code_of_graph(raw.counterexample) + 1
         assert iso.statistics["enumerated"] == 792
+        assert iso.statistics["hypothesis_passed"] == 2
         g = raw.counterexample
         assert is_free(g, gen_family(5))[0]
         assert Threshold(3, 5).exceeds(min_degree(g), g.n)
@@ -353,22 +355,27 @@ class TestScanRaw:
                 assert red_bits == sum(1 << p for p, w in enumerate(weights) if w == 2)
 
     def test_scan_memory_stays_small(self, monkeypatch):
-        # Building the n = 6 low tables (1.8 MB) and scanning all 3^15 codes
-        # for the odd theorem at r = 2 peaks near 3 MB; a byte per pair and
-        # flag in the tables would take it past 8 MB.
+        # Building the n = 6 low tables (0.2 MB for 3^9 codes) and scanning
+        # all 3^15 codes for the odd theorem at r = 2 peaks near 0.4 MB; a
+        # table of 3^11 codes alone takes 1.8 MB.
         monkeypatch.setattr(search, "_LOW_TABLES", {})
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            assert verify_theorem_odd(2, 6).outcome == "verified"
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 5_000_000
+        report, peak = traced_peak(lambda: verify_theorem_odd(2, 6))
+        assert report.outcome == "verified"
+        assert peak < 1_000_000
+
+    def test_order7_scan_memory_stays_small(self, monkeypatch):
+        # The last four default chunks of the even r = 3 scan at n = 7: the
+        # order-7 tables (0.22 MB) and the block arrays of thousands of
+        # degree survivors, all of which contain a member of F:6.
+        monkeypatch.setattr(search, "_LOW_TABLES", {})
+        total = 3 ** num_pairs(7)
+        window = (total - 4 * search._CHUNK, total)
+        cutoff = even_threshold(3).cutoff(7)
+        conditions = FamilyChecker(gen_family(6)).conditions(7)
+        records, peak = traced_peak(lambda: self.records(7, cutoff, conditions, *window))
+        assert records == []
+        assert len(self.records(7, cutoff, [], *window)) > 1000
+        assert peak < 1_000_000
 
     def test_unaligned_small_chunks(self):
         conditions = FamilyChecker(gen_family(5)).conditions(4)
@@ -417,8 +424,8 @@ class TestScanRaw:
         assert self.records(5, 0, FamilyChecker(gen_family(6)).conditions(5), lo, hi, chunk=size)
 
     def test_chunk_straddles_a_block_boundary_n6(self):
-        # The default chunk, 3^11 codes, makes blocks of 3^11 as well.
-        boundary = 3 ** 11
+        # The default chunk is a power of 3, so its blocks have its size.
+        boundary = search._CHUNK
         self.check_window(6, boundary - 517, boundary + 483, range(6), chunk=boundary)
 
     def test_yields_one_record_array_per_chunk(self):
