@@ -521,10 +521,14 @@ def _enumerate_isomorph_free(n: int, stats: EnumerationStats) -> Iterator[Colore
 
     Yields one graph per class of order n as soon as it is accepted, so
     only level n-1 and its automorphisms are held, never a list of level
-    n.  Each child canonicalised adds one to ``stats.canonical_forms``.
+    n.  Each class yielded adds one to ``stats.count``, and each child
+    canonicalised one to ``stats.canonical_forms``.
     """
+    if n > ISO_ENUM_BOUND:
+        raise ValueError("isomorph-free bound %d exceeded (n=%d)" % (ISO_ENUM_BOUND, n))
     first = ColoredGraph(min(n, 1), 0)
     if n <= 1:
+        stats.count += 1
         yield first
         return
     level = [(first, [tuple(range(first.n))])]
@@ -586,6 +590,7 @@ def _enumerate_isomorph_free(n: int, stats: EnumerationStats) -> Iterator[Colore
                 accepted.add(best)
                 c = _relabelled(child, best, canon)
                 if k == n:
+                    stats.count += 1
                     yield c
                 else:
                     nxt.append((c, _automorphisms(c, argmins)))
@@ -606,10 +611,8 @@ def enumerate_graphs(
     """
     stats = EnumerationStats(n=n, mode=mode, count=0)
     if mode == "raw":
-        graphs = all_graphs(n)  # all_graphs checks the bound
+        graphs = all_graphs(n)  # each generator checks its bound
     elif mode == "isomorph_free":
-        if n > ISO_ENUM_BOUND:
-            raise ValueError("isomorph-free bound %d exceeded (n=%d)" % (ISO_ENUM_BOUND, n))
         graphs = _enumerate_isomorph_free(n, stats)
     else:
         raise ValueError("unknown enumeration mode %r" % (mode,))

@@ -11,10 +11,10 @@ family-freeness conditions (pair conditions from
 the block's low digits, whose nonzero and red flags the table packs into
 one word each per code.  Blocks of 3^9 codes keep the table and the
 per-block arrays to a few hundred KB at every n <= 7.
-Raw verify and each degree of the threshold probe (rescanned from the top
-degree down) share one walk in one process, ``_first_without_hom``; iso
-verify runs the same filters and homomorphism test on each class as
-canonical augmentation yields it, so no list of classes is built.  A
+Raw verify, iso verify and each degree of the threshold probe (rescanned
+from the top degree down) share one walk in one process,
+``_first_without_hom``; iso verify feeds it the classes as canonical
+augmentation yields them, so no list of classes is built.  A
 counterexample or threshold witness is re-verified through the
 independent embedding/homomorphism modules, and a counterexample is
 greedily weight-minimized before it is reported.
@@ -32,11 +32,12 @@ import numpy as np
 from .core import (
     RAW_ENUM_BOUND,
     ColoredGraph,
+    EnumerationStats,
     SelfCheckError,
+    _enumerate_isomorph_free,
     code_of_graph,
     even_threshold,
     edge_weight_sum,
-    enumerate_graphs,
     graph_from_code,
     min_degree,
     num_pairs,
@@ -51,9 +52,10 @@ EX_BOUND = 8
 # Codes per scan chunk, and the scan's low-digit table size: the table of
 # 3^9 codes (a uint8 degree row per vertex, a uint16 of nonzero flags and
 # one of red flags) takes 0.20 MB at n = 6 and 0.22 MB at n = 7, and a
-# block's arrays less.  At n = 6, 3^9 scans about as fast as 3^11, and
-# 3^8 takes 1.6 times as long: the per-block Python work then outweighs
-# the vector work.
+# block's arrays less.  A full n = 6 scan then takes a few ms longer
+# than with 3^11 (F:5 46 against 44 ms, F:6 28 against 22 ms), and with
+# 3^8 about twice as long as with 3^9: the per-block Python work then
+# outweighs the vector work.
 _CHUNK = 3 ** 9
 # One record per scanned graph that survives the filters.
 _RECORD = np.dtype([("code", np.int64), ("mindeg", np.uint8)])
@@ -141,9 +143,7 @@ def _scan_raw(
     C(n,2) - L high digits, which are fixed on each aligned block of 3^L
     codes.  The low digits come from a cached table; the high ones are
     decoded once per block, which is skipped whole when a vertex cannot
-    reach the cutoff or a condition holds on the fixed digits alone.  The
-    skip then extends over every later block that keeps the digits it
-    rests on, so the scan jumps to the next block that changes one of them.
+    reach the cutoff or a condition holds on the fixed digits alone.
     Otherwise the minimum degree is a running minimum over the vertices,
     and only the conditions the fixed digits allow are tested: each as a
     pair of bitmasks over the low pairs, against the packed red and nonzero
@@ -164,77 +164,53 @@ def _scan_raw(
     cond_ge1 = np.array([gm >> low for _, gm in full], dtype=np.int64)
     cond_low = [(rm & low_bits, gm & low_bits) for rm, gm in full]
     high_only = np.array([not (rm or gm) for rm, gm in cond_low], dtype=bool)
-    # A skip decided by the high digits from position f up holds on every
-    # later block up to the next change of those digits, the next multiple
-    # of 3^f blocks.  f is the first high pair at a vertex that misses the
-    # cutoff, or the first high pair of a condition that holds.
-    width = len(high_pairs)
-    vertex_first = [
-        next((j for j, pair in enumerate(high_pairs) if v in pair), width) for v in range(n)
-    ]
-    high_masks = [(rm | gm) >> low for rm, gm in full]
-    cond_first = np.array(
-        [(h & -h).bit_length() - 1 if h else width for h in high_masks], dtype=np.int64
-    )
     mindeg_buf = np.empty(size, dtype=np.uint8)
     deg_buf = np.empty(size, dtype=np.uint8)
 
-    found = []
-    seg = chunk_stop = lo
-    while seg < hi:
-        if seg >= chunk_stop:
-            if found:
-                yield found[0] if len(found) == 1 else np.concatenate(found)
-                found = []
-            chunk_stop = seg - (seg - lo) % chunk + chunk
-        base = seg - seg % size
-        seg_stop = min(hi, chunk_stop, base + size)
-        a, b = seg - base, seg_stop - base
-        fixed = [0] * n
-        red_bits = ge1_bits = 0
-        rest = base // size
-        for j, (x, y) in enumerate(high_pairs):
-            rest, d = divmod(rest, 3)
-            if d:
-                fixed[x] += d
-                fixed[y] += d
-                ge1_bits |= 1 << j
-                if d == 2:
-                    red_bits |= 1 << j
-        first = max(
-            (f for f, fx, top in zip(vertex_first, fixed, low_max) if fx + top < cutoff),
-            default=-1,
-        )
-        if first < 0:
+    for start in range(lo, hi, chunk):
+        stop = min(start + chunk, hi)
+        found = []
+        seg = start
+        while seg < stop:
+            base = seg - seg % size
+            seg_stop = min(stop, base + size)
+            a, b, seg = seg - base, seg_stop - base, seg_stop
+            fixed = [0] * n
+            red_bits = ge1_bits = 0
+            rest = base // size
+            for j, (x, y) in enumerate(high_pairs):
+                rest, d = divmod(rest, 3)
+                if d:
+                    fixed[x] += d
+                    fixed[y] += d
+                    ge1_bits |= 1 << j
+                    if d == 2:
+                        red_bits |= 1 << j
+            if any(f + top < cutoff for f, top in zip(fixed, low_max)):
+                continue
             live = np.flatnonzero(((cond_red & ~red_bits) | (cond_ge1 & ~ge1_bits)) == 0)
-            hits = live[high_only[live]]
-            if hits.size:
-                first = int(cond_first[hits].max())
-        if first >= 0:
-            step = size * 3 ** first
-            seg = base - base % step + step
-            continue
-        seg = seg_stop
-        tests = {cond_low[i] for i in live.tolist()}
-        mindeg, deg = mindeg_buf[: b - a], deg_buf[: b - a]
-        np.add(low_degs[0, a:b], fixed[0], out=mindeg)
-        for v in range(1, n):
-            np.minimum(mindeg, np.add(low_degs[v, a:b], fixed[v], out=deg), out=mindeg)
-        idx = np.flatnonzero(mindeg >= cutoff)
-        if idx.size and tests:
-            ge1 = low_ge1[a:b].take(idx)
-            red = low_red[a:b].take(idx)
-            bad = np.zeros(idx.size, dtype=bool)
-            for rm, gm in tests:
-                bad |= ((red & rm) == rm) & ((ge1 & gm) == gm)
-            idx = idx[~bad]
-        if idx.size:
-            records = np.empty(idx.size, dtype=_RECORD)
-            np.add(idx, base + a, out=records["code"])
-            records["mindeg"] = mindeg[idx]
-            found.append(records)
-    if found:
-        yield found[0] if len(found) == 1 else np.concatenate(found)
+            if high_only[live].any():
+                continue
+            tests = {cond_low[i] for i in live.tolist()}
+            mindeg, deg = mindeg_buf[: b - a], deg_buf[: b - a]
+            np.add(low_degs[0, a:b], fixed[0], out=mindeg)
+            for v in range(1, n):
+                np.minimum(mindeg, np.add(low_degs[v, a:b], fixed[v], out=deg), out=mindeg)
+            idx = np.flatnonzero(mindeg >= cutoff)
+            if idx.size and tests:
+                ge1 = low_ge1[a:b].take(idx)
+                red = low_red[a:b].take(idx)
+                bad = np.zeros(idx.size, dtype=bool)
+                for rm, gm in tests:
+                    bad |= ((red & rm) == rm) & ((ge1 & gm) == gm)
+                idx = idx[~bad]
+            if idx.size:
+                records = np.empty(idx.size, dtype=_RECORD)
+                np.add(idx, base + a, out=records["code"])
+                records["mindeg"] = mindeg[idx]
+                found.append(records)
+        if found:
+            yield found[0] if len(found) == 1 else np.concatenate(found)
 
 
 # -- theorem verification -----------------------------------------------------
@@ -344,18 +320,13 @@ def _verify_theorem(kind: str, r: int, n: int, mode: str) -> SearchReport:
         passed, g = _first_without_hom(graphs, hom)
         enumerated = total if g is None else code_of_graph(g) + 1
     elif mode == "iso":
-        # Each class is checked as the enumeration yields it, until the
-        # first one without a homomorphism; the rest are only counted.
-        passed, g = 0, None
-
-        def check(c: ColoredGraph) -> None:
-            nonlocal passed, g
-            if g is None and min_degree(c) >= cutoff and checker.is_free_graph(c):
-                passed += 1
-                if hom(c) is None:
-                    g = c
-
-        enumerated = enumerate_graphs(n, "isomorph_free", check).count
+        stats = EnumerationStats(n=n, mode="isomorph_free", count=0)
+        classes = _enumerate_isomorph_free(n, stats)
+        graphs = (c for c in classes if min_degree(c) >= cutoff and checker.is_free_graph(c))
+        passed, g = _first_without_hom(graphs, hom)
+        for _ in classes:  # the classes after a counterexample are only counted
+            pass
+        enumerated = stats.count
     else:
         raise ValueError("unknown verification mode %r" % (mode,))
 

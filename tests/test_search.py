@@ -176,6 +176,8 @@ class TestVerifyTheorems:
             verify_theorem_even(3, 16)
         with pytest.raises(ValueError):
             verify_theorem_odd(2, 7, mode="raw")
+        with pytest.raises(ValueError, match="isomorph-free bound"):
+            verify_theorem_odd(2, 9, mode="iso")
         with pytest.raises(ValueError):
             verify_theorem_odd(1, 4)
         with pytest.raises(ValueError):
