@@ -100,8 +100,6 @@ def gen_hk(q: int, b: int, k: int) -> PartitionedConstruction:
         raise ValueError("need 0 <= k <= b-1")
     p_k = max(0, k + q + 1 - 2 * b)
     c = q - k - p_k
-    if c <= 0:
-        raise AssertionError("tail part C must be nonempty")
     parts = _layout([("A", k), ("B", p_k), ("C", c)])
     A = parts["A"]
 

@@ -17,7 +17,7 @@ members go to the backtracker.  Its one search method,
 pair just raised in a family-free graph: such a copy contains both ends of
 the pair, so the clique search of a two-level member starts from them,
 seeded in each role the member allows.  The same compilation gives the
-raw scan its pair conditions (``FamilyChecker.conditions``).  ``is_free``
+raw scan its pair conditions as bitmasks (``FamilyChecker.conditions``).  ``is_free``
 runs on the compiled engine.
 """
 
@@ -292,12 +292,13 @@ class FamilyChecker:
             blues = tuple(v for v in range(member.n) if not member.red_mask(v))
             self._plan.append((idx, member, shape, reds + blues))
 
-    def conditions(self, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def conditions(self, n: int) -> list[tuple[int, int]]:
         """Boolean pair conditions on order-n graphs whose disjunction
         detects any member: one condition per (vertex subset, red-clique
-        subset) choice, in family order, listing the pair positions that
-        must be red and those that must be nonzero.  Every member must be a
-        red clique fully joined to a blue remainder."""
+        subset) choice, in family order, as the raw scan's two bitmasks
+        (bit p for pair position p) of the pairs that must be red and of
+        those that must be nonzero.  Every member must be a red clique
+        fully joined to a blue remainder."""
         pos = pair_pos(n)
         conditions = []
         for idx, member, shape, _ in sorted(self._plan, key=lambda step: step[0]):
@@ -311,14 +312,13 @@ class FamilyChecker:
                 continue
             for subset in itertools.combinations(range(n), o):
                 for red_part in itertools.combinations(subset, i):
-                    red_positions = []
-                    ge1_positions = []
+                    red_bits = ge1_bits = 0
                     for a, b in itertools.combinations(subset, 2):
                         if a in red_part and b in red_part:
-                            red_positions.append(pos[(a, b)])
+                            red_bits |= 1 << pos[(a, b)]
                         else:
-                            ge1_positions.append(pos[(a, b)])
-                    conditions.append((tuple(red_positions), tuple(ge1_positions)))
+                            ge1_bits |= 1 << pos[(a, b)]
+                    conditions.append((red_bits, ge1_bits))
         return conditions
 
     def witness(

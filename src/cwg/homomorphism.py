@@ -190,8 +190,9 @@ def _search_hom(
     quotient).
 
     A try into a class that holds a vertex at nonzero weight to the vertex
-    being placed ends at once, so one pass over the classes lists the others, and the tries in between are
-    counted in bulk before the next listed one.  Nothing else happens
+    being placed ends at once, so one pass over the classes lists the
+    others, and the tries in between are counted in bulk before the next
+    listed one.  Nothing else happens
     between two tries, so the count, and the try at which the budget runs
     out, are those of counting every try in turn."""
     n, k = g.n, target.n

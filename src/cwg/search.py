@@ -1,16 +1,17 @@
 """Exhaustive and branch-and-bound search engines.
 
 Raw verification and the threshold probe sweep all 3^C(n,2) labelled
-graphs with one scan loop, ``_scan_raw``.  It splits each base-3 code into
-low digits, read from a cached table of all their settings, and high
-digits, fixed on each aligned block of codes.  A block is skipped whole
-when the fixed digits already rule out the minimum-degree cutoff or
-contain a family member; otherwise the degree filter and the
-family-freeness conditions (pair conditions from
-``FamilyChecker.conditions``, compiled to bitmasks) run vectorized over
-the block's low digits, whose nonzero and red flags the table packs into
-one word each per code.  Blocks of 3^9 codes keep the table and the
-per-block arrays to a few hundred KB at every n <= 7.
+graphs with one loop over aligned blocks of codes, ``_scan_raw``.  It is
+the package's only numpy code and imports numpy itself, so only the
+commands that scan load it.  It splits each base-3 code into low digits, read from
+a cached table of all their settings, and high digits, fixed on each
+block.  A block is skipped whole when the fixed digits already rule out
+the minimum-degree cutoff or contain a family member; otherwise the
+degree filter and the family-freeness conditions (the pair bitmasks of
+``FamilyChecker.conditions``) run vectorized over the block's low digits,
+whose nonzero and red flags the table packs into one word each per code.
+Blocks of 3^9 codes keep the table and the per-block arrays to a few
+hundred KB at every n <= 7.
 Raw verify, iso verify and each degree of the threshold probe (rescanned
 from the top degree down) share one walk in one process,
 ``_first_without_hom``; iso verify feeds it the classes as canonical
@@ -26,8 +27,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .core import (
     RAW_ENUM_BOUND,
@@ -49,7 +48,7 @@ from .embedding import FamilyChecker, MaskHost, find_embedding
 from .homomorphism import find_hom_rk, find_hom_rk_minus
 
 EX_BOUND = 8
-# Codes per scan chunk, and the scan's low-digit table size: the table of
+# Codes per scan block, and the scan's low-digit table size: the table of
 # 3^9 codes (a uint8 degree row per vertex, a uint16 of nonzero flags and
 # one of red flags) takes 0.20 MB at n = 6 and 0.22 MB at n = 7, and a
 # block's arrays less.  A full n = 6 scan then takes a few ms longer
@@ -57,8 +56,6 @@ EX_BOUND = 8
 # 3^8 about twice as long as with 3^9: the per-block Python work then
 # outweighs the vector work.
 _CHUNK = 3 ** 9
-# One record per scanned graph that survives the filters.
-_RECORD = np.dtype([("code", np.int64), ("mindeg", np.uint8)])
 # Low-digit tables of the raw scan, keyed by (n, number of low digits).
 _LOW_TABLES: dict[tuple[int, int], tuple] = {}
 
@@ -103,16 +100,17 @@ class SearchReport:
 def _low_table(n: int, low: int):
     """Read-only tables over the 3^low settings of the low digits (pairs
     0..low-1): a ``uint8`` degree row per vertex, the packed nonzero flags
-    and the packed red flags (bit p for pair p; ``uint16``, or ``uint32``
-    when low > 16), and each vertex's largest low degree.  Built on first
-    use and cached per (n, low)."""
+    and the packed red flags (one ``uint16`` each, bit p for pair p), and
+    each vertex's largest low degree.  Built on first use and cached per
+    (n, low)."""
+    import numpy as np
+
     key = (n, low)
     if key not in _LOW_TABLES:
         size = 3 ** low
-        flags = np.uint16 if low <= 16 else np.uint32
         degs = np.zeros((n, size), dtype=np.uint8)
-        ge1 = np.zeros(size, dtype=flags)
-        red = np.zeros(size, dtype=flags)
+        ge1 = np.zeros(size, dtype=np.uint16)
+        red = np.zeros(size, dtype=np.uint16)
         for p, (x, y) in enumerate(pair_list(n)[:low]):
             # Digit p of every code below 3^low, in code order.
             digit = np.tile(np.repeat(np.arange(3, dtype=np.uint8), 3 ** p), 3 ** (low - 1 - p))
@@ -133,21 +131,23 @@ def _scan_raw(
     lo: int,
     hi: int,
     chunk: int = _CHUNK,
-) -> Iterable[np.ndarray]:
-    """Yield, per chunk of [lo, hi), a record array (fields ``code`` and
-    ``mindeg``) of the graphs with minimum degree >= cutoff that meet none
-    of the compiled conditions (an empty list scans degrees only).  Chunks
-    without a record yield nothing.
+) -> Iterable:
+    """Yield, per aligned block of codes that meets [lo, hi), a numpy
+    record array (fields ``code`` and ``mindeg``) of its graphs in [lo, hi)
+    with minimum degree >= cutoff that meet none of the conditions of
+    ``FamilyChecker.conditions`` (an empty list scans degrees only).
+    Blocks without a record yield nothing.
 
     A code splits into L low digits, L the largest with 3^L <= chunk, and
-    C(n,2) - L high digits, which are fixed on each aligned block of 3^L
-    codes.  The low digits come from a cached table; the high ones are
-    decoded once per block, which is skipped whole when a vertex cannot
-    reach the cutoff or a condition holds on the fixed digits alone.
-    Otherwise the minimum degree is a running minimum over the vertices,
-    and only the conditions the fixed digits allow are tested: each as a
-    pair of bitmasks over the low pairs, against the packed red and nonzero
-    flags of the degree survivors."""
+    C(n,2) - L high digits, which are fixed on each block of 3^L codes.
+    The low digits come from a cached table; the high ones are decoded once
+    per block, which is skipped whole when a vertex cannot reach the cutoff
+    or a condition holds on the fixed digits alone.  Otherwise the minimum
+    degree is a running minimum over the vertices, and only the conditions
+    the fixed digits allow are tested, on the low parts of their masks,
+    against the packed red and nonzero flags of the degree survivors."""
+    import numpy as np
+
     m = num_pairs(n)
     low = 0
     while low < m and 3 ** (low + 1) <= chunk:
@@ -155,62 +155,54 @@ def _scan_raw(
     size = 3 ** low
     low_degs, low_ge1, low_red, low_max = _low_table(n, low)
     high_pairs = pair_list(n)[low:]
+    record = np.dtype([("code", np.int64), ("mindeg", np.uint8)])
 
-    # Per condition: bitmasks of the pairs that must be red and nonzero,
-    # split into the high digits (bit p - low) and the low ones (bit p).
-    full = [(sum(1 << p for p in red), sum(1 << p for p in ge1)) for red, ge1 in conditions]
+    # Each condition's masks split into the high digits (bit p - low) and
+    # the low ones (bit p).
     low_bits = (1 << low) - 1
-    cond_red = np.array([rm >> low for rm, _ in full], dtype=np.int64)
-    cond_ge1 = np.array([gm >> low for _, gm in full], dtype=np.int64)
-    cond_low = [(rm & low_bits, gm & low_bits) for rm, gm in full]
+    cond_red = np.array([rm >> low for rm, _ in conditions], dtype=np.int64)
+    cond_ge1 = np.array([gm >> low for _, gm in conditions], dtype=np.int64)
+    cond_low = [(rm & low_bits, gm & low_bits) for rm, gm in conditions]
     high_only = np.array([not (rm or gm) for rm, gm in cond_low], dtype=bool)
     mindeg_buf = np.empty(size, dtype=np.uint8)
     deg_buf = np.empty(size, dtype=np.uint8)
 
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        found = []
-        seg = start
-        while seg < stop:
-            base = seg - seg % size
-            seg_stop = min(stop, base + size)
-            a, b, seg = seg - base, seg_stop - base, seg_stop
-            fixed = [0] * n
-            red_bits = ge1_bits = 0
-            rest = base // size
-            for j, (x, y) in enumerate(high_pairs):
-                rest, d = divmod(rest, 3)
-                if d:
-                    fixed[x] += d
-                    fixed[y] += d
-                    ge1_bits |= 1 << j
-                    if d == 2:
-                        red_bits |= 1 << j
-            if any(f + top < cutoff for f, top in zip(fixed, low_max)):
-                continue
-            live = np.flatnonzero(((cond_red & ~red_bits) | (cond_ge1 & ~ge1_bits)) == 0)
-            if high_only[live].any():
-                continue
-            tests = {cond_low[i] for i in live.tolist()}
-            mindeg, deg = mindeg_buf[: b - a], deg_buf[: b - a]
-            np.add(low_degs[0, a:b], fixed[0], out=mindeg)
-            for v in range(1, n):
-                np.minimum(mindeg, np.add(low_degs[v, a:b], fixed[v], out=deg), out=mindeg)
-            idx = np.flatnonzero(mindeg >= cutoff)
-            if idx.size and tests:
-                ge1 = low_ge1[a:b].take(idx)
-                red = low_red[a:b].take(idx)
-                bad = np.zeros(idx.size, dtype=bool)
-                for rm, gm in tests:
-                    bad |= ((red & rm) == rm) & ((ge1 & gm) == gm)
-                idx = idx[~bad]
-            if idx.size:
-                records = np.empty(idx.size, dtype=_RECORD)
-                np.add(idx, base + a, out=records["code"])
-                records["mindeg"] = mindeg[idx]
-                found.append(records)
-        if found:
-            yield found[0] if len(found) == 1 else np.concatenate(found)
+    for base in range(lo - lo % size, hi, size):
+        a, b = max(lo, base) - base, min(hi, base + size) - base
+        fixed = [0] * n
+        red_bits = ge1_bits = 0
+        rest = base // size
+        for j, (x, y) in enumerate(high_pairs):
+            rest, d = divmod(rest, 3)
+            if d:
+                fixed[x] += d
+                fixed[y] += d
+                ge1_bits |= 1 << j
+                if d == 2:
+                    red_bits |= 1 << j
+        if any(f + top < cutoff for f, top in zip(fixed, low_max)):
+            continue
+        live = np.flatnonzero(((cond_red & ~red_bits) | (cond_ge1 & ~ge1_bits)) == 0)
+        if high_only[live].any():
+            continue
+        tests = {cond_low[i] for i in live.tolist()}
+        mindeg, deg = mindeg_buf[: b - a], deg_buf[: b - a]
+        np.add(low_degs[0, a:b], fixed[0], out=mindeg)
+        for v in range(1, n):
+            np.minimum(mindeg, np.add(low_degs[v, a:b], fixed[v], out=deg), out=mindeg)
+        idx = np.flatnonzero(mindeg >= cutoff)
+        if idx.size and tests:
+            ge1 = low_ge1[a:b].take(idx)
+            red = low_red[a:b].take(idx)
+            bad = np.zeros(idx.size, dtype=bool)
+            for rm, gm in tests:
+                bad |= ((red & rm) == rm) & ((ge1 & gm) == gm)
+            idx = idx[~bad]
+        if idx.size:
+            records = np.empty(idx.size, dtype=record)
+            np.add(idx, base + a, out=records["code"])
+            records["mindeg"] = mindeg[idx]
+            yield records
 
 
 # -- theorem verification -----------------------------------------------------

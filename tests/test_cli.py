@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -400,7 +401,7 @@ class TestVerify:
         assert main(argv + ["--json"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "verify scans in one process; --threads accepts only 1" in err
+        assert "argument --threads: invalid choice" in err
 
     def test_single_thread_flag_is_accepted(self, capsys, schema):
         code, payload = run_json(
@@ -584,6 +585,144 @@ class TestErrorsAndDeterminism:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--seed" in err
+
+
+# Edge inputs, each with the exit code it must end in.  {graph} is the red
+# triangle and {empty} the order-0 graph.
+EDGE_CASES = [
+    (["ex", "--n", "-1", "--family", "F:5"], 1),
+    (["verify", "--theorem", "odd", "--r", "2", "--n", "0"], 1),
+    (["gen", "--construction", "rk", "--n", "-1"], 1),
+    (["hom", "--target", "rk:0", "{graph}"], 1),
+    (["hom", "--target", "rkminus:1", "{graph}"], 1),
+    (["hom", "--target", "rk:65", "{graph}"], 1),
+    (["analyze", "--r", "1", "{graph}"], 1),
+    (["gen", "--construction", "blowup", "--pattern", "{graph}", "--sizes", "1,0,1"], 1),
+    (["density", "--family", "F:1", "{graph}"], 1),
+    (["ex", "--n", "9", "--family", "F:5"], 1),
+    (["verify", "--theorem", "odd", "--r", "2", "--n", "9", "--mode", "iso"], 1),
+    (["threshold", "--kind", "odd", "--r", "64", "--n", "3"], 1),
+    (["ex", "--n", "3", "--family", "file:{empty}"], 1),
+    (["complete", "--family", "file:{empty}", "{graph}"], 1),
+    (["check", "--family", "file:{empty}", "{graph}"], 2),
+    (["ex", "--n", "0", "--family", "F:5"], 0),
+    (["hom", "--target", "file:{empty}", "{graph}"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", EDGE_CASES, ids=[" ".join(a) for a, _ in EDGE_CASES])
+def test_edge_input_ends_in_an_exit_code(tmp_path, capsys, argv, code):
+    graph, empty = tmp_path / "g.cwg", tmp_path / "empty.cwg"
+    write_cwg(graph, gen_rk(3))
+    write_cwg(empty, ColoredGraph(0, 0))
+    argv = [a.format(graph=graph, empty=empty) for a in argv]
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert main(argv + ["--json"]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if out:
+        json.loads(out)
+    assert bool(out) == (code != 1)
+
+
+# Runs every subcommand but raw verify and threshold through main, then a
+# raw one given as arguments; prints the peak memory right after the
+# import in KiB, whether numpy was loaded before the raw command, and
+# whether after it.
+NUMPY_PROBE = r"""
+import contextlib, io, os, re, sys
+
+def peak_kib():
+    # VmHWM is this process's own peak; ru_maxrss also keeps the peak of
+    # the process that started it, across fork and exec.
+    if not os.path.exists("/proc/self/status"):
+        return -1
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\s+(\d+)", fh.read()).group(1))
+
+import cwg.cli
+import_kib = peak_kib()
+graph, green, raw = sys.argv[1], sys.argv[2], sys.argv[3:]
+light = [
+    ["gen", "--construction", "rk", "--n", "3"],
+    ["check", "--family", "F:6", graph],
+    ["hom", "--target", "rkminus:3", graph],
+    ["analyze", "--r", "3", graph],
+    ["complete", "--family", "F:6", green],
+    ["verify", "--theorem", "odd", "--r", "2", "--n", "4", "--mode", "iso"],
+    ["ex", "--n", "4", "--family", "F:5"],
+    ["density", "--family", "F:6", graph],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cwg.cli.main(argv) for argv in light]
+    before = "numpy" in sys.modules
+    codes.append(cwg.cli.main(raw))
+print(import_kib, before, "numpy" in sys.modules, *codes)
+"""
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        ["verify", "--theorem", "odd", "--r", "2", "--n", "3"],
+        ["threshold", "--kind", "odd", "--r", "2", "--n", "3"],
+    ],
+    ids=["verify", "threshold"],
+)
+def test_only_the_raw_scan_loads_numpy(tmp_path, raw):
+    graph, green = tmp_path / "g.cwg", tmp_path / "green.cwg"
+    write_cwg(graph, gen_even_extremal(3, 1).graph)
+    write_cwg(green, ColoredGraph.uniform(6, 0))
+    src = os.path.dirname(os.path.dirname(cwg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(graph), str(green), *raw],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    import_kib, before, after, *codes = out.stdout.split()
+    assert codes == ["0"] * 9
+    assert (before, after) == ("False", "True")
+    if int(import_kib) >= 0:
+        assert int(import_kib) < 20 * 1024
+
+
+def _import_time_nodes(tree):
+    """The nodes of a module that run at import: all but function bodies.
+    A function's decorators, defaults and annotations are kept."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list)
+            stack.append(node.args)
+            if node.returns is not None:
+                stack.append(node.returns)
+        elif isinstance(node, ast.Lambda):
+            stack.append(node.args)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_numpy_at_import_time():
+    package = os.path.dirname(cwg.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            assert not any(m.split(".")[0] == "numpy" for m in modules), (name, node.lineno)
+            if isinstance(node, ast.Name):
+                assert node.id not in ("np", "numpy"), (name, node.lineno)
 
 
 def _json_argv(command, tmp_path):

@@ -430,10 +430,31 @@ class TestScanRaw:
         boundary = search._CHUNK
         self.check_window(6, boundary - 517, boundary + 483, range(6), chunk=boundary)
 
-    def test_yields_one_record_array_per_chunk(self):
+    def test_yields_one_record_array_per_block(self):
+        # Chunk 10 sets blocks of 9 codes, and each block yields its own
+        # array; the unaligned window yields the parts of its end blocks.
         blocks = list(_scan_raw(3, 0, [], 0, 27, chunk=10))
-        assert [len(b) for b in blocks] == [10, 10, 7]
+        assert [len(b) for b in blocks] == [9, 9, 9]
         assert blocks[0].dtype.names == ("code", "mindeg")
+        blocks = list(_scan_raw(3, 0, [], 5, 20, chunk=10))
+        assert [b["code"].tolist() for b in blocks] == [
+            list(range(5, 9)), list(range(9, 18)), list(range(18, 20))
+        ]
+
+    @pytest.mark.parametrize("t", [5, 6, 7])
+    def test_condition_masks_detect_members_n4(self, t):
+        # A graph meets some condition, all its red-mask pairs red and all
+        # its nonzero-mask pairs nonzero, exactly when it is not free.
+        n = 4
+        family = gen_family(t)
+        conditions = FamilyChecker(family).conditions(n)
+        assert all(isinstance(rm, int) and isinstance(gm, int) for rm, gm in conditions)
+        for g in all_graphs(n):
+            weights = [g.weight(x, y) for x, y in pair_list(n)]
+            red = sum(1 << p for p, w in enumerate(weights) if w == 2)
+            ge1 = sum(1 << p for p, w in enumerate(weights) if w >= 1)
+            hit = any(rm & red == rm and gm & ge1 == gm for rm, gm in conditions)
+            assert hit == (not brute_force_is_free(g, family))
 
     def test_rejects_unshaped_members(self):
         with pytest.raises(ValueError, match="member 1"):
